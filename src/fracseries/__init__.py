@@ -17,7 +17,6 @@ from .errors import (
     ProblemError,
     ScalarError,
     TimeCoefficientIncompatible,
-    UnsupportedTimeCoefficient,
 )
 from .gammafn import gamma_real
 from .scalar import Scalar
@@ -35,13 +34,6 @@ from .series import (
     FracSeries,
     caputo_shift,
     gamma_factor,
-    series_add,
-    series_dx,
-    series_mul,
-    series_pow,
-    series_scale_args,
-    series_sub,
-    value_at_zero,
 )
 from .problems import (
     ExactSolution,
@@ -108,7 +100,6 @@ __all__ = [
     "TimeCoefficientIncompatible",
     "UNIT_TIME",
     "UnitTime",
-    "UnsupportedTimeCoefficient",
     "apply_rhs",
     "caputo_shift",
     "error_table",
@@ -129,13 +120,6 @@ __all__ = [
     "residual_orders",
     "residual_series",
     "rhs_to_source",
-    "series_add",
-    "series_dx",
-    "series_mul",
-    "series_pow",
-    "series_scale_args",
-    "series_sub",
     "solve",
     "solve_linear",
-    "value_at_zero",
 ]

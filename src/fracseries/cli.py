@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 numeric evaluation failure or residual FAIL,
 2 bad input (syntax, usage, truncation below m-1), 3 solver rejection
-(incompatible time coefficient, nonlinear fast path, residual below m).
+(incompatible time coefficient, --linear on a nonlinear problem,
+residual below m).
 
 Everything data-like goes to stdout and is deterministic; run info goes
 to stderr.
@@ -35,7 +36,6 @@ from .expr import Expr
 from .problems import Problem
 from .solver import (
     SeriesSolution,
-    mittag_leffler_form,
     residual_orders,
     solve,
     solve_linear,
@@ -264,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="derive coefficients, print a report")
     _add_common(sp)
-    sp.add_argument("--linear", action="store_true", help="use the linear fast path")
+    sp.add_argument("--linear", action="store_true", help="require a linear right-hand side")
     sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("coeffs", help="print the coefficient list")
     _add_common(sp)
-    sp.add_argument("--linear", action="store_true", help="use the linear fast path")
+    sp.add_argument("--linear", action="store_true", help="require a linear right-hand side")
     sp.set_defaults(fn=_cmd_coeffs)
 
     sp = sub.add_parser("residual", help="check the series against the equation")

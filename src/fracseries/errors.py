@@ -45,15 +45,11 @@ class AlphaMismatch(FracError):
 
 
 class NotLinear(FracError):
-    """The fast path was asked to handle a nonlinear operator."""
+    """solve_linear was given a right-hand side that is not linear."""
 
 
 class TimeCoefficientIncompatible(FracError):
     """A time coefficient cannot be represented on the t^(k*alpha) grid."""
-
-
-# Alias kept for callers that distinguish the solver-level rejection by name.
-UnsupportedTimeCoefficient = TimeCoefficientIncompatible
 
 
 class EvalError(FracError):

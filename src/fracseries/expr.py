@@ -4,8 +4,11 @@ An Expr is a finite sum  sum_i p_i(x) * exp(mu_i * x)  where each p_i is a
 polynomial in x with Scalar coefficients and each frequency mu_i is a
 Scalar, pairwise distinct and sorted. Hyperbolics enter expanded:
 cosh(c*x) = (exp(c*x) + exp(-c*x))/2. The class is closed under addition,
-multiplication, d/dx and x -> a*x, which makes the zero test exact: an
-expression is zero iff it has no terms.
+multiplication, d/dx and x -> a*x. The zero test is structural (an
+expression is zero iff it has no terms), so it is exact only while the
+Scalars are canonical: rationals, parameters and prime atoms are, Gamma
+atoms are not. Expr.const(gamma(3/2) - gamma(1/2)/2) is zero in value, yet
+is_zero() is False for it; probe_zero is the numeric fallback that says True.
 
 Also defined here: the time-coefficient markers a right-hand-side term may
 carry (trivial, exp(c*t), polynomial in t), which the solver interprets.
@@ -126,9 +129,6 @@ class Expr:
             for c in poly:
                 names |= c.free_params()
         return frozenset(names)
-
-    def degree_bound(self) -> int:
-        return max((len(poly) - 1 for _, poly in self.terms), default=0)
 
     # -- arithmetic -------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import AlphaOutOfRange, EvalError, ProblemError
-from .expr import Expr, TimeCoef, UNIT_TIME, UnitTime
+from .expr import Expr, TimeCoef, UNIT_TIME
 from .scalar import Scalar
 from .series import FracSeries
 
@@ -59,12 +59,6 @@ class RhsTerm:
     tcoef: TimeCoef = UNIT_TIME
     factors: tuple[RhsFactor, ...] = ()
 
-    def total_power(self) -> int:
-        return sum(f.power for f in self.factors)
-
-    def is_source(self) -> bool:
-        return not self.factors
-
 
 @dataclass(frozen=True)
 class RhsOperator:
@@ -74,8 +68,8 @@ class RhsOperator:
     def is_linear(self) -> bool:
         """True when every term is a single first-power factor.
 
-        This is the structural gate for the shortcut that maps coefficient
-        k-m directly to coefficient k; source terms and products disqualify.
+        This is the structural gate of solve_linear; source terms and
+        products disqualify.
         """
         return all(
             len(t.factors) == 1 and t.factors[0].power == 1 for t in self.terms

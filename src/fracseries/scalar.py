@@ -130,13 +130,9 @@ def _rational_power(q: Fraction, e: Fraction) -> tuple[Sig, Fraction]:
 
 # Sum helpers work on {sig: coeff} dicts and tolerate tuple inputs.
 
-def _as_dict(s) -> dict[Sig, Fraction]:
-    return dict(s) if not isinstance(s, dict) else dict(s)
-
-
 def _sum_add(a, b) -> dict[Sig, Fraction]:
-    out = _as_dict(a)
-    for sig, c in _as_dict(b).items():
+    out = dict(a)
+    for sig, c in dict(b).items():
         nc = out.get(sig, _ZERO) + c
         if nc:
             out[sig] = nc
@@ -147,8 +143,8 @@ def _sum_add(a, b) -> dict[Sig, Fraction]:
 
 def _sum_mul(a, b) -> dict[Sig, Fraction]:
     out: dict[Sig, Fraction] = {}
-    bd = _as_dict(b).items()
-    for sig_a, ca in _as_dict(a).items():
+    bd = dict(b).items()
+    for sig_a, ca in dict(a).items():
         for sig_b, cb in bd:
             sig, c = _mono_mul(sig_a, ca, sig_b, cb)
             nc = out.get(sig, _ZERO) + c
@@ -162,7 +158,7 @@ def _sum_mul(a, b) -> dict[Sig, Fraction]:
 def _sum_scale(a, q: Fraction) -> dict[Sig, Fraction]:
     if not q:
         return {}
-    return {sig: c * q for sig, c in _as_dict(a).items()}
+    return {sig: c * q for sig, c in dict(a).items()}
 
 
 _ONE_SUM: tuple = (((), _ONE),)
@@ -184,12 +180,12 @@ class Scalar:
 
     @staticmethod
     def _make(num, den) -> "Scalar":
-        num = {sig: c for sig, c in _as_dict(num).items() if c}
-        den = {sig: c for sig, c in _as_dict(den).items() if c}
+        num = {sig: c for sig, c in dict(num).items() if c}
+        den = {sig: c for sig, c in dict(den).items() if c}
         if not den:
             raise ScalarError("division by a symbolically zero scalar")
         if not num:
-            return _ZERO_SCALAR if _ZERO_SCALAR is not None else Scalar((), _ONE_SUM, _raw=True)
+            return _ZERO_SCALAR
         if len(den) == 1:
             (dsig, dc), = den.items()
             inv_sig, inv_c = _mono_inv(dsig, dc)
@@ -199,7 +195,7 @@ class Scalar:
                 folded[s2] = folded.get(s2, _ZERO) + c2
             num = {s: c for s, c in folded.items() if c}
             if not num:
-                return Scalar((), _ONE_SUM, _raw=True)
+                return _ZERO_SCALAR
             return Scalar(tuple(sorted(num.items())), _ONE_SUM, _raw=True)
         # multi-monomial denominator: cancel common atom content, then scale
         # so the canonically first denominator monomial has coefficient 1.
@@ -290,9 +286,6 @@ class Scalar:
         if len(self.num) == 1 and self.num[0][0] == ():
             return self.num[0][1]
         return None
-
-    def is_monomial(self) -> bool:
-        return self.den == _ONE_SUM and len(self.num) <= 1
 
     def free_params(self) -> frozenset[str]:
         names = set()
@@ -498,7 +491,5 @@ def _sum_source(monos) -> str:
     return "".join(chunks)
 
 
-_ZERO_SCALAR: Scalar | None = None
-_ONE_SCALAR: Scalar | None = None
 _ZERO_SCALAR = Scalar((), _ONE_SUM, _raw=True)
 _ONE_SCALAR = Scalar(_ONE_SUM, _ONE_SUM, _raw=True)

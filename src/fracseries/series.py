@@ -74,13 +74,6 @@ class FracSeries:
                 return e
         return Expr.zero()
 
-    def coeff_list(self) -> list[Expr]:
-        """Dense coefficients 0..trunc."""
-        out = [Expr.zero()] * (self.trunc + 1)
-        for k, e in self.coeffs:
-            out[k] = e
-        return out
-
     def value_at_zero(self) -> Expr:
         return self.coeff(0)
 
@@ -201,37 +194,6 @@ class FracSeries:
         return f"FracSeries(alpha={self.alpha}, trunc={self.trunc}, {{{inner}}})"
 
 
-# -- functional aliases ------------------------------------------------------------
-# The arithmetic lives on the class; these names exist so call sites that read
-# as operations on series (rather than methods of one operand) stay legible.
-
-def series_add(a: FracSeries, b: FracSeries) -> FracSeries:
-    return a.add(b)
-
-
-def series_sub(a: FracSeries, b: FracSeries) -> FracSeries:
-    return a.sub(b)
-
-
-def series_mul(a: FracSeries, b: FracSeries, kmax: int) -> FracSeries:
-    return a.mul(b, kmax)
-
-
-def series_pow(a: FracSeries, p: int, kmax: int) -> FracSeries:
-    return a.pow(p, kmax)
-
-
-def series_dx(a: FracSeries, n: int = 1) -> FracSeries:
-    return a.dx(n)
-
-
-def series_scale_args(a: FracSeries, xscale, tscale) -> FracSeries:
-    return a.scale_args(xscale, tscale)
-
-
 def caputo_shift(a: FracSeries, n: int) -> FracSeries:
+    """Caputo derivative of order n*alpha of a series; see FracSeries.caputo_shift."""
     return a.caputo_shift(n)
-
-
-def value_at_zero(a: FracSeries) -> Expr:
-    return a.value_at_zero()

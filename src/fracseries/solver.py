@@ -1,4 +1,4 @@
-"""Series solver: explicit coefficient recurrence plus a residual verifier.
+"""Series solver: one explicit coefficient engine plus a residual verifier.
 
 For D_t^(m*alpha) psi = R[psi] the truncated solution coefficients come out
 one at a time: the first m are the initial conditions, and each later one is
@@ -8,23 +8,27 @@ one at a time: the first m are the initial conditions, and each later one is
 No symbolic unknowns and no limit process are involved; substituting only the
 already-known prefix is exact because the k-m coefficient of R[S] never reads
 series entries above k-1 (every operation here preserves or raises grid order).
+solve reads it off online series products (van der Hoeven, "Relax, but don't
+be too lazy", J. Symb. Comput. 2002); solve_linear is solve behind a guard.
 
 Verification is independent of the construction: residual_series recomputes
-D_t^(m*alpha) S - R[S] from scratch and checks its low-order coefficients
-vanish.
+D_t^(m*alpha) S - R[S] from scratch with the batch operator apply_rhs and
+checks its low-order coefficients vanish.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotLinear, ProblemError, TimeCoefficientIncompatible
 from .expr import Expr, ExpTime, PolyTime, TimeCoef, UnitTime, probe_zero
-from .problems import Problem, RhsOperator
+from .problems import Problem, RhsOperator, RhsTerm
 from .scalar import Scalar
-from .series import FracSeries
+from .series import FracSeries, _mul_weight
 
 
 @dataclass(frozen=True)
@@ -53,21 +57,23 @@ class SeriesSolution:
 
 # -- right-hand side application ------------------------------------------------------
 
-def _tcoef_grid(tcoef: TimeCoef, alpha: Fraction, kmax: int) -> FracSeries:
-    """Expand a time coefficient on the integer grid (alpha = 1 only)."""
+_OFF_GRID = (
+    "time-dependent coefficients need alpha = 1 or a vanishing factor "
+    "product: integer powers of t do not live on the t^(k*alpha) grid"
+)
+
+
+def _tcoef_coeff(tcoef: TimeCoef, j: int) -> Expr:
+    """Normalized coefficient j of a time coefficient on the integer grid (alpha = 1 only)."""
     if isinstance(tcoef, ExpTime):
         # exp(c*t): normalized coefficient j is c^j
-        coeffs = {j: Expr.const(tcoef.rate ** j) for j in range(kmax + 1)}
-    elif isinstance(tcoef, PolyTime):
+        return Expr.const(tcoef.rate ** j)
+    if isinstance(tcoef, PolyTime):
         # plain t^j carries j! once the 1/Gamma(1+j) normalization is factored out
-        coeffs = {
-            j: Expr.const(s * Scalar.from_fraction(math.factorial(j)))
-            for j, s in enumerate(tcoef.coeffs)
-            if j <= kmax
-        }
-    else:
-        raise TimeCoefficientIncompatible(f"unknown time coefficient {tcoef!r}")
-    return FracSeries(alpha, kmax, coeffs)
+        if j >= len(tcoef.coeffs):
+            return Expr.zero()
+        return Expr.const(tcoef.coeffs[j] * Scalar.from_fraction(math.factorial(j)))
+    raise TimeCoefficientIncompatible(f"unknown time coefficient {tcoef!r}")
 
 
 def _apply_tcoef(s: FracSeries, tcoef: TimeCoef, kmax: int) -> FracSeries:
@@ -77,11 +83,9 @@ def _apply_tcoef(s: FracSeries, tcoef: TimeCoef, kmax: int) -> FracSeries:
         # the time factor multiplies an identically-zero series; nothing to place
         return s
     if s.alpha == 1:
-        return s.mul(_tcoef_grid(tcoef, s.alpha, kmax), kmax)
-    raise TimeCoefficientIncompatible(
-        "time-dependent coefficients need alpha = 1 or a vanishing factor "
-        "product: integer powers of t do not live on the t^(k*alpha) grid"
-    )
+        grid = [_tcoef_coeff(tcoef, j) for j in range(kmax + 1)]
+        return s.mul(FracSeries(s.alpha, kmax, grid), kmax)
+    raise TimeCoefficientIncompatible(_OFF_GRID)
 
 
 def apply_rhs(rhs: RhsOperator, series: FracSeries, kmax: int) -> FracSeries:
@@ -113,64 +117,122 @@ def apply_rhs(rhs: RhsOperator, series: FracSeries, kmax: int) -> FracSeries:
     return total.truncate(kmax)
 
 
-# -- coefficient recurrences --------------------------------------------------------
+# -- the coefficient engine ---------------------------------------------------------
 
-def _check_order(problem: Problem, order: int) -> None:
+class _Stream:
+    """Series coefficients computed once each, in index order, on first use."""
+
+    __slots__ = ("_next", "coeffs", "nonzero")
+
+    def __init__(self, next_coeff):
+        self._next = next_coeff
+        self.coeffs: list[Expr] = []
+        self.nonzero: list[int] = []  # indices of the structurally nonzero coefficients
+
+    def __getitem__(self, j: int) -> Expr:
+        while len(self.coeffs) <= j:
+            e = self._next(len(self.coeffs))
+            if not e.is_zero():
+                self.nonzero.append(len(self.coeffs))
+            self.coeffs.append(e)
+        return self.coeffs[j]
+
+
+def _product(alpha: Fraction, a: _Stream, b: _Stream) -> _Stream:
+    """Online Cauchy product, summed in the order FracSeries.mul sums it."""
+
+    def coeff(j: int) -> Expr:
+        a[j]
+        out = Expr.zero()
+        for i in a.nonzero:
+            if i > j:
+                break  # a is shared and already ahead of this product
+            if not b[j - i].is_zero():
+                out = out + (a.coeffs[i] * b[j - i]).scalar_mul(_mul_weight(alpha, i, j - i))
+        return out
+
+    return _Stream(coeff)
+
+
+def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
+    """One right-hand-side term as a stream, built in apply_rhs's operation order."""
+    if not term.factors:
+        s = _Stream(lambda j: term.coeff if j == 0 else Expr.zero())
+    else:
+        acc = None
+        for f in term.factors:
+            base = p = image(f.n, f.xscale, f.tscale)
+            for _ in range(f.power - 1):
+                p = _product(alpha, p, base)
+            acc = p if acc is None else _product(alpha, acc, p)
+        s = _Stream(lambda j: Expr.zero() if acc[j].is_zero() else acc[j] * term.coeff)
+    if isinstance(term.tcoef, UnitTime):
+        return s
+    if alpha == 1:
+        return _product(alpha, s, _Stream(lambda j: _tcoef_coeff(term.tcoef, j)))
+
+    def off_grid(j: int) -> Expr:
+        if not s[j].is_zero():
+            raise TimeCoefficientIncompatible(_OFF_GRID)
+        return s[j]
+
+    return _Stream(off_grid)
+
+
+def solve(problem: Problem, order: int) -> SeriesSolution:
+    """Explicit recurrence: one new coefficient per step, nothing revisited.
+
+    Step k reads coefficient k-m of each term's stream; every stream
+    coefficient, and every x-derivative and argument scaling of a solution
+    coefficient, is computed once.
+    """
     if order < problem.m - 1:
         raise ProblemError(
             f"truncation order {order} is below m-1 = {problem.m - 1}: "
             "not even the initial conditions fit"
         )
-
-
-def solve(problem: Problem, order: int) -> SeriesSolution:
-    """Explicit recurrence: one new coefficient per step, nothing revisited."""
-    _check_order(problem, order)
+    alpha = problem.alpha
     coeffs = list(problem.ics[: order + 1])
-    for k in range(problem.m, order + 1):
-        prefix = FracSeries(problem.alpha, k - 1, dict(enumerate(coeffs)))
-        image = apply_rhs(problem.rhs, prefix, k - problem.m)
-        coeffs.append(image.coeff(k - problem.m))
-    return SeriesSolution(problem, order, tuple(coeffs), linear_path_used=False)
+
+    @functools.cache
+    def image(n: int, xscale: Fraction, tscale: Fraction) -> _Stream:
+        """(D_x^n psi)(xscale*x, tscale*t), shared by every factor that reads it."""
+
+        def coeff(j: int) -> Expr:
+            e = coeffs[j]
+            if e.is_zero():
+                return e
+            if n:
+                e = e.diff_x(n)
+            if xscale != 1 or tscale != 1:
+                e = e.scale_x(xscale).scalar_mul(Scalar.rational_power(tscale, j * alpha))
+            return e
+
+        return _Stream(coeff)
+
+    streams = [_term_stream(t, image, alpha) for t in problem.rhs.terms]
+    if problem.rhs.forcing is not None:
+        streams.append(_Stream(problem.rhs.forcing.coeff))
+    for j in range(order + 1 - problem.m):
+        new = Expr.zero()
+        for s in streams:
+            if not s[j].is_zero():
+                new = new + s[j]
+        coeffs.append(new)
+    return SeriesSolution(problem, order, tuple(coeffs))
 
 
 def solve_linear(problem: Problem, order: int) -> SeriesSolution:
-    """Shortcut for single-factor first-power right-hand sides.
+    """solve, restricted to right-hand sides of single first-power factors.
 
-    Coefficient k is the operator applied to coefficient k-m directly; delay
-    scalings contribute the exact power tscale^((k-m)*alpha). Time-dependent
-    term coefficients are only admissible when their factor image vanishes,
-    matching the full path's compatibility rule, so both paths agree wherever
-    both run.
+    Raises NotLinear for any other right-hand side; where it runs, its
+    coefficients are those of solve, flagged with linear_path_used.
     """
     if not problem.rhs.is_linear():
         raise NotLinear(
             "linear path needs every term to be a single first-power factor"
         )
-    _check_order(problem, order)
-    alpha = problem.alpha
-    coeffs = list(problem.ics[: order + 1])
-    for k in range(problem.m, order + 1):
-        j = k - problem.m
-        new = Expr.zero()
-        for term in problem.rhs.terms:
-            f = term.factors[0]
-            g = coeffs[j].diff_x(f.n) if f.n else coeffs[j]
-            if f.xscale != 1:
-                g = g.scale_x(f.xscale)
-            if f.tscale != 1:
-                g = g.scalar_mul(Scalar.rational_power(f.tscale, j * alpha))
-            g = g * term.coeff
-            if not isinstance(term.tcoef, UnitTime) and not g.is_zero():
-                raise TimeCoefficientIncompatible(
-                    "time-dependent coefficient with a surviving factor: "
-                    "use the full recurrence"
-                )
-            new = new + g
-        if problem.rhs.forcing is not None:
-            new = new + problem.rhs.forcing.coeff(j)
-        coeffs.append(new)
-    return SeriesSolution(problem, order, tuple(coeffs), linear_path_used=True)
+    return dataclasses.replace(solve(problem, order), linear_path_used=True)
 
 
 # -- verification --------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Command line: exit codes, deterministic stdout, stream separation."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import fracseries
 from fracseries.cli import main
 from fracseries.dsl import parse_problem_file
 from fracseries.evaluate import EvalGrid, error_table, eval_solution, export
@@ -190,10 +193,13 @@ def test_argparse_usage_error_is_2(capsys):
 
 
 def test_module_entry_point(problems_dir):
+    # the child interpreter imports the same package as this one, installed or not
+    src = str(pathlib.Path(fracseries.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     r = subprocess.run(
         [sys.executable, "-m", "fracseries", "eval",
          _fx(problems_dir, "kolmogorov.frac"), "-K", "4", "-x", "0", "-t", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert r.returncode == 0
     assert float(r.stdout.strip()) == 1.0

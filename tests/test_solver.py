@@ -45,6 +45,45 @@ def _term(coeff=None, n=0, xscale=1, tscale=1, power=1, tcoef=None):
     )
 
 
+def _bell_problem():
+    # u' = exp(t)*u, u(0) = 1 has u = exp(exp(t) - 1)
+    return _problem(1, 1, [Expr.one()], [_term(tcoef=ExpTime(Scalar.one()))])
+
+
+def _poly_time_problem():
+    # u' = t*u, u(0) = x has u = x*exp(t^2/2)
+    tc = PolyTime((Scalar.zero(), Scalar.one()))
+    return _problem(1, 1, [Expr.x()], [_term(tcoef=tc)])
+
+
+def _forcing_problem():
+    # u' = u + 1, u(0) = 0 gives u = exp(t) - 1: coefficients 0, 1, 1, ...
+    f = FracSeries(Fraction(1), 0, {0: Expr.one()})
+    return _problem(1, 1, [Expr.zero()], [_term()], forcing=f)
+
+
+def _source_term_problem():
+    # the same equation with the constant written as a factorless term
+    src = RhsTerm(coeff=Expr.one(), factors=())
+    return _problem(1, 1, [Expr.zero()], [_term(), src])
+
+
+def _vanishing_time_coefficient_problem():
+    # second derivatives of x-linear coefficients vanish, so the exp(t)
+    # term contributes nothing and any alpha is fine
+    return _problem(
+        Fraction(1, 2), 1, [Expr.x()],
+        [_term(n=2, tcoef=ExpTime(Scalar.one())), _term(n=1)],
+    )
+
+
+def _lagging_product_problem():
+    # with psi(0) = 0 the square (Dx psi)^2 is read only up to k-m-1 at step
+    # k, while the Dx psi term has already read Dx psi up to k-m
+    square = RhsTerm(coeff=Expr.one(), factors=(RhsFactor(n=0), RhsFactor(n=1, power=2)))
+    return _problem(Fraction(1, 2), 2, [Expr.zero(), Expr.x()], [_term(n=1), square])
+
+
 # -- apply_rhs hand checks --------------------------------------------------------
 
 def test_apply_identity():
@@ -104,29 +143,22 @@ def test_apply_forcing_only():
 # -- solve: hand oracles -----------------------------------------------------------
 
 def test_exponential_time_coefficient_gives_bell_numbers():
-    # u' = exp(t)*u, u(0) = 1 has u = exp(exp(t) - 1): the normalized
-    # coefficients are the Bell numbers 1, 1, 2, 5, 15, 52
-    p = _problem(1, 1, [Expr.one()], [_term(tcoef=ExpTime(Scalar.one()))])
-    sol = solve(p, 5)
+    # the normalized coefficients of exp(exp(t) - 1) are the Bell numbers
+    sol = solve(_bell_problem(), 5)
     for k, bell in enumerate((1, 1, 2, 5, 15, 52)):
         assert (sol.coeff(k) - Expr.const(bell)).is_zero(), k
 
 
 def test_polynomial_time_coefficient_convolution():
-    # u' = t*u, u(0) = x has u = x*exp(t^2/2); normalized coefficients
-    # x * k! * [t^k] exp(t^2/2) = x, 0, x, 0, 3x, 0, 15x
-    tc = PolyTime((Scalar.zero(), Scalar.one()))
-    p = _problem(1, 1, [Expr.x()], [_term(tcoef=tc)])
-    sol = solve(p, 6)
+    # normalized coefficients x * k! * [t^k] exp(t^2/2) = x, 0, x, 0, 3x, 0, 15x
+    sol = solve(_poly_time_problem(), 6)
     want = (1, 0, 1, 0, 3, 0, 15)
     for k, w in enumerate(want):
         assert (sol.coeff(k) - Expr.x().scalar_mul(w)).is_zero(), k
 
 
 def test_forcing_series_in_both_paths():
-    # u' = u + 1, u(0) = 0 gives u = exp(t) - 1: coefficients 0, 1, 1, ...
-    f = FracSeries(Fraction(1), 0, {0: Expr.one()})
-    p = _problem(1, 1, [Expr.zero()], [_term()], forcing=f)
+    p = _forcing_problem()
     for sol in (solve(p, 5), solve_linear(p, 5)):
         assert sol.coeff(0).is_zero()
         for k in range(1, 6):
@@ -134,9 +166,7 @@ def test_forcing_series_in_both_paths():
 
 
 def test_source_term_equivalent_to_forcing():
-    # the same equation with the constant written as a factorless term
-    src = RhsTerm(coeff=Expr.one(), factors=())
-    p = _problem(1, 1, [Expr.zero()], [_term(), src])
+    p = _source_term_problem()
     sol = solve(p, 5)
     assert sol.coeff(0).is_zero()
     for k in range(1, 6):
@@ -174,8 +204,7 @@ def test_linear_path_agrees_on_diffusion(diffusion_problem):
     a = solve(diffusion_problem, 8)
     b = solve_linear(diffusion_problem, 8)
     assert b.linear_path_used and not a.linear_path_used
-    for k in range(9):
-        assert (a.coeff(k) - b.coeff(k)).is_zero(), k
+    assert a.coeffs == b.coeffs
 
 
 def test_linear_path_agrees_with_delay_scalings(delay_problem):
@@ -188,8 +217,7 @@ def test_linear_path_agrees_with_delay_scalings(delay_problem):
     )
     a = solve(p, 6)
     b = solve_linear(p, 6)
-    for k in range(7):
-        assert (a.coeff(k) - b.coeff(k)).is_zero(), k
+    assert a.coeffs == b.coeffs
 
 
 def test_nonlinear_rejected_by_fast_path(wave_problem):
@@ -207,12 +235,7 @@ def test_time_coefficient_rejected_off_grid():
 
 
 def test_time_coefficient_allowed_when_factor_vanishes():
-    # second derivatives of x-linear coefficients vanish, so the exp(t)
-    # term contributes nothing and any alpha is fine
-    p = _problem(
-        Fraction(1, 2), 1, [Expr.x()],
-        [_term(n=2, tcoef=ExpTime(Scalar.one())), _term(n=1)],
-    )
+    p = _vanishing_time_coefficient_problem()
     sol = solve(p, 3)
     ref = _problem(Fraction(1, 2), 1, [Expr.x()], [_term(n=1)])
     sol_ref = solve(ref, 3)
@@ -221,6 +244,64 @@ def test_time_coefficient_allowed_when_factor_vanishes():
     lin = solve_linear(p, 3)
     for k in range(4):
         assert (lin.coeff(k) - sol.coeff(k)).is_zero()
+
+
+def _apply_rhs_recurrence(p, order):
+    """Coefficients k = m..order, each read off one batch apply_rhs on the prefix."""
+    coeffs = list(p.ics)
+    for k in range(p.m, order + 1):
+        prefix = FracSeries(p.alpha, k - 1, dict(enumerate(coeffs)))
+        coeffs.append(apply_rhs(p.rhs, prefix, k - p.m).coeff(k - p.m))
+    return tuple(coeffs)
+
+
+def _delay_at(alpha):
+    return lambda request: dataclasses.replace(
+        request.getfixturevalue("delay_problem"), alpha=Fraction(alpha)
+    )
+
+
+@pytest.mark.parametrize("build, order", [
+    pytest.param(_delay_at("1/2"), 6, id="burgers-1/2"),
+    pytest.param(_delay_at("1/5"), 6, id="burgers-1/5"),
+    pytest.param(_delay_at("3/4"), 6, id="burgers-3/4"),
+    pytest.param(_delay_at("1"), 6, id="burgers-1"),
+    pytest.param(lambda r: r.getfixturevalue("wave_problem"), 6, id="klein-gordon"),
+    pytest.param(lambda r: r.getfixturevalue("diffusion_problem"), 12, id="kolmogorov"),
+    pytest.param(lambda r: _bell_problem(), 8, id="exp-time"),
+    pytest.param(lambda r: _poly_time_problem(), 8, id="poly-time"),
+    pytest.param(lambda r: _forcing_problem(), 6, id="forcing"),
+    pytest.param(lambda r: _source_term_problem(), 6, id="source-term"),
+    pytest.param(lambda r: _vanishing_time_coefficient_problem(), 6, id="vanishing-tcoef"),
+    pytest.param(lambda r: _lagging_product_problem(), 7, id="lagging-product"),
+])
+def test_engine_equals_apply_rhs_recurrence(request, build, order):
+    # structural equality, not a zero test on the difference: the engine
+    # must build every coefficient exactly as the batch operator does
+    p = build(request)
+    want = _apply_rhs_recurrence(p, order)
+    assert solve(p, order).coeffs == want
+    if p.rhs.is_linear():
+        assert solve_linear(p, order).coeffs == want
+
+
+def test_each_derivative_image_is_computed_once(monkeypatch, diffusion_problem,
+                                                delay_problem):
+    # one diff_x per derivative image per coefficient: kolmogorov has the
+    # images Dx and Dx^2, burgers-delay Dx and Dx^2 (psi itself needs none)
+    calls = 0
+    diff_x = Expr.diff_x
+
+    def counting(self, n=1):
+        nonlocal calls
+        calls += 1
+        return diff_x(self, n)
+
+    monkeypatch.setattr(Expr, "diff_x", counting)
+    for prob, order, want in ((diffusion_problem, 100, 200), (delay_problem, 10, 20)):
+        calls = 0
+        solve(prob, order)
+        assert calls == want, prob.name
 
 
 # -- structure of solutions ----------------------------------------------------------
