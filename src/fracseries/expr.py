@@ -6,9 +6,12 @@ Scalar, pairwise distinct and sorted. Hyperbolics enter expanded:
 cosh(c*x) = (exp(c*x) + exp(-c*x))/2. The class is closed under addition,
 multiplication, d/dx and x -> a*x. The zero test is structural (an
 expression is zero iff it has no terms), so it is exact only while the
-Scalars are canonical: rationals, parameters and prime atoms are, Gamma
-atoms are not. Expr.const(gamma(3/2) - gamma(1/2)/2) is zero in value, yet
-is_zero() is False for it; probe_zero is the numeric fallback that says True.
+Scalars are canonical. Rationals, parameters and prime atoms are, and Gamma
+atoms are canonical under translation: gamma(3/2) is built as
+gamma(1/2)/2, so Expr.const(gamma(3/2) - gamma(1/2)/2).is_zero() holds. The
+reflection and multiplication relations are not applied:
+gamma(1/4)*gamma(3/4) and 2^(1/2)*gamma(1/2)^2 are both pi*sqrt(2) but
+differ structurally, and probe_zero is the numeric fallback for such forms.
 
 Also defined here: the time-coefficient markers a right-hand-side term may
 carry (trivial, exp(c*t), polynomial in t), which the solver interprets.

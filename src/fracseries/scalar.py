@@ -6,19 +6,22 @@ exponents. Three atom kinds exist:
 
 * named parameters (``nu``, ``omega``, ...), assumed positive wherever a
   fractional exponent touches them;
-* gamma-function values at fixed positive rational arguments, kept opaque
-  except that integer arguments up to 20 resolve to factorials on
-  construction;
+* gamma-function values at rational arguments in (0, 1): construction
+  folds an integer argument n to (n-1)! and reduces gamma(f + n), f in
+  (0, 1), to the rational (f)_n = f(f+1)...(f+n-1) times gamma(f), by
+  the recurrence Gamma(z+1) = z*Gamma(z) (DLMF 5.5.1);
 * prime bases carrying the fractional part of a rational-base power, so
   2^(-1/2) normalizes to the monomial (1/2) * 2^(1/2).
 
 The representation is canonical: coefficients in lowest terms, zero terms
 absent, monomials sorted, prime-atom exponents in (0, 1), denominators
 normalized to leading coefficient one with common monomial content
-cancelled. The zero Scalar is the unique empty numerator. Equal values
-either share one representation or are caught by numeric probing at the
-expression layer; sums are not factored, so quotients reduce only up to
-monomial content.
+cancelled. The zero Scalar is the unique empty numerator. Gamma atoms are
+canonical under translation only: the reflection and multiplication
+formulas are not applied, so gamma(1/4)*gamma(3/4) and
+2^(1/2)*gamma(1/2)^2 (both pi*sqrt(2)) stay distinct, and such equal values
+are caught only by numeric probing at the expression layer. Sums are not
+factored, so quotients reduce only up to monomial content.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ Sig = tuple
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_GAMMA_RESOLVE_LIMIT = 20
 _FACTOR_LIMIT = 10**9
 
 ScalarLike = Union["Scalar", int, Fraction]
@@ -254,9 +256,12 @@ class Scalar:
         arg = Fraction(arg)
         if arg <= 0:
             raise ScalarError(f"gamma argument must be positive, got {arg}")
-        if arg.denominator == 1 and arg <= _GAMMA_RESOLVE_LIMIT:
+        if arg.denominator == 1:
             return cls.from_fraction(math.factorial(int(arg) - 1))
-        return cls._make({((("g", arg), _ONE),): _ONE}, dict(_ONE_SUM))
+        n = arg.numerator // arg.denominator
+        f = arg - n
+        poch = math.prod((f + i for i in range(n)), start=_ONE)
+        return cls._make({((("g", f), _ONE),): poch}, dict(_ONE_SUM))
 
     @classmethod
     def rational_power(cls, base, exp) -> "Scalar":

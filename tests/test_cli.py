@@ -124,6 +124,21 @@ def test_alpha_override_rederives(capsys, problems_dir):
     assert all(src == "x" for src in doc["coefficients"])
 
 
+def test_delay_coefficients_golden(capsys, problems_dir):
+    # Gamma atoms are reduced to arguments in (0, 1): gamma(3/2) and gamma(5/2)
+    # appear as rational multiples of gamma(1/2)
+    code, out, _ = run(capsys, "coeffs", _fx(problems_dir, "burgers_delay.frac"), "-K", "4")
+    assert code == 0
+    assert out == (
+        "coeff[0](x) = x\n"
+        "coeff[1](x) = x\n"
+        "coeff[2](x) = (1/2 + 1/2*2^(1/2))*x\n"
+        "coeff[3](x) = (1/2 + gamma(1/2)^(-2) + 1/2*2^(1/2))*x\n"
+        "coeff[4](x) = (7/8 + 1/2*gamma(1/2)^(-2) + 1/4*gamma(1/2)^(-2)*2^(1/2)"
+        " + 9/16*2^(1/2))*x\n"
+    )
+
+
 def test_stdout_is_deterministic(capsys, problems_dir):
     args = ("table", _fx(problems_dir, "burgers_delay.frac"), "-K", "4",
             "--grid", "x=0:1:0.5 t=0:1:0.25", "--exact", "--format", "json")
@@ -192,17 +207,31 @@ def test_argparse_usage_error_is_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_module_entry_point(problems_dir):
+def _run_child(*argv):
     # the child interpreter imports the same package as this one, installed or not
     src = str(pathlib.Path(fracseries.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    r = subprocess.run(
-        [sys.executable, "-m", "fracseries", "eval",
-         _fx(problems_dir, "kolmogorov.frac"), "-K", "4", "-x", "0", "-t", "0"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_module_entry_point(problems_dir):
+    r = _run_child("-m", "fracseries", "eval",
+                   _fx(problems_dir, "kolmogorov.frac"), "-K", "4", "-x", "0", "-t", "0")
     assert r.returncode == 0
     assert float(r.stdout.strip()) == 1.0
+
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_runs(demo):
+    r = _run_child(str(demo))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip()
 
 
 def test_corrupt_order_out_of_range(capsys, problems_dir):

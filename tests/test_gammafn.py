@@ -1,8 +1,7 @@
 """Oracle tests for the real gamma kernel.
 
-The implementation is checked against the stdlib's independent gamma and
-against the functional equation Gamma(r+1) = r*Gamma(r), which the Lanczos
-kernel does not satisfy by construction.
+The kernel is checked against frozen reference values, the stdlib's gamma
+and the functional equation Gamma(r+1) = r*Gamma(r).
 """
 
 import math
@@ -50,7 +49,7 @@ def test_recurrence_invariant_1000_points():
 
 
 def test_small_argument_route():
-    # below 0.5 one recurrence step is taken; check continuity of accuracy
+    # small arguments, where Gamma grows like 1/r
     rng = random.Random(3)
     for _ in range(200):
         r = rng.uniform(1e-4, 0.5)

@@ -55,22 +55,52 @@ def test_field_ops():
 
 
 def test_gamma_atoms_resolve_small_integers():
-    # integer arguments up to 20 collapse to exact factorials
+    # every integer argument collapses to an exact factorial
     assert Scalar.gamma(1) == Scalar.one()
     assert Scalar.gamma(5).as_fraction() == 24
     assert Scalar.gamma(20).as_fraction() == math.factorial(19)
+    assert Scalar.gamma(25).as_fraction() == math.factorial(24)
     # half-integer arguments stay symbolic but evaluate correctly
     g = Scalar.gamma(Fraction(3, 2))
     assert g.as_fraction() is None
     assert abs(g.eval() - math.gamma(1.5)) < 1e-14
 
 
-def test_gamma_functional_relation_numeric():
-    # Gamma(a+1) and a*Gamma(a) are distinct atoms; equality is numeric only
-    a = Fraction(5, 3)
-    lhs = Scalar.gamma(a + 1).eval()
-    rhs = float(a) * Scalar.gamma(a).eval()
-    assert abs(lhs - rhs) < 1e-13 * abs(lhs)
+def _gamma_args(s):
+    return [atom[1] for part in (s.num, s.den) for sig, _ in part
+            for atom, _e in sig if atom[0] == "g"]
+
+
+def test_gamma_reduces_to_pochhammer_times_base_atom():
+    # gamma(f + n) is built as (f)_n * gamma(f) with f in (0, 1)
+    rng = random.Random(105)
+    for _ in range(200):
+        q = rng.randrange(2, 8)
+        f = Fraction(rng.randrange(1, q), q)
+        n = rng.randrange(0, 13)
+        poch = math.prod((f + i for i in range(n)), start=Fraction(1))
+        g = Scalar.gamma(f + n)
+        assert g == poch * Scalar.gamma(f), (f, n)
+        assert all(0 < arg < 1 for arg in _gamma_args(g)), (f, n)
+
+
+def test_gamma_atoms_stay_in_unit_interval_through_weights():
+    # the series weight Gamma(1+k*a) / (Gamma(1+i*a)*Gamma(1+j*a)) is one monomial
+    for a in (Fraction(1, 2), Fraction(3, 5), Fraction(2, 7)):
+        for i in range(6):
+            for j in range(6):
+                w = Scalar.gamma(1 + (i + j) * a) / (
+                    Scalar.gamma(1 + i * a) * Scalar.gamma(1 + j * a))
+                assert len(w.num) == 1 and w.den == Scalar.one().den, (a, i, j)
+                assert all(0 < arg < 1 for arg in _gamma_args(w)), (a, i, j)
+
+
+def test_gamma_functional_relation_structural():
+    # gamma(3/2) - gamma(1/2)/2 is zero in value and now also in form
+    half = Fraction(1, 2)
+    assert (Scalar.gamma(3 * half) - Scalar.gamma(half) * half).is_zero()
+    for a in (Fraction(5, 3), Fraction(1, 7), Fraction(22, 5)):
+        assert Scalar.gamma(a + 1) == a * Scalar.gamma(a), a
 
 
 def test_surd_normalization():

@@ -320,6 +320,41 @@ def test_delay_collapses_at_integer_order(delay_problem):
         assert (sol.coeff(k) - Expr.x()).is_zero(), k
 
 
+def test_delay_at_integer_order_is_structurally_x(delay_problem):
+    # Gamma at integers folds to factorials at every size, so the weights
+    # stay rational past 20! and each coefficient is the Expr x itself
+    p = dataclasses.replace(delay_problem, alpha=Fraction(1))
+    sol = solve(p, 24)
+    assert all(c == Expr.x() for c in sol.coeffs)
+
+
+# coeff(k).eval(1.0) of burgers-delay, frozen from the solver as it was
+# before Gamma atoms were reduced to arguments in (0, 1)
+_DELAY_VALUES_AT_1 = {
+    ("1/2", 10): (
+        1.0, 1.0, 1.2071067811865475, 1.525416667370338, 1.9421896114463997,
+        2.468325844912781, 3.12802175320679, 3.9565116238440607, 5.000166002662344,
+        6.317959548330125, 7.98411593257889,
+    ),
+    ("3/5", 8): (
+        1.0, 1.0, 1.159753955386447, 1.385043417794021, 1.6574331772579498,
+        1.9778999166848694, 2.355057498825097, 2.8012862340721365, 3.3314099774549417,
+    ),
+    ("3/4", 8): (
+        1.0, 1.0, 1.0946035575013604, 1.2125115250854372, 1.3412991490523611,
+        1.4807088260767676, 1.6330769548008646, 1.8008793709784454, 1.986280970442019,
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha, order", list(_DELAY_VALUES_AT_1))
+def test_delay_coefficient_values_are_unchanged(delay_problem, alpha, order):
+    p = dataclasses.replace(delay_problem, alpha=Fraction(alpha))
+    sol = solve(p, order)
+    for k, want in enumerate(_DELAY_VALUES_AT_1[alpha, order]):
+        assert sol.coeff(k).eval(1.0) == pytest.approx(want, rel=1e-12, abs=0), k
+
+
 def test_closed_form_tag(diffusion_problem, delay_problem):
     tag = mittag_leffler_form(solve(diffusion_problem, 5))
     assert tag is not None and "E_alpha" in tag
