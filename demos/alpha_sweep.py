@@ -1,14 +1,14 @@
-"""Two ways to vary the fractional order alpha.
+"""Varying the fractional order alpha by re-deriving at rational alphas.
 
-1. Re-derive the coefficients at another rational alpha.  This is the
-   faithful route and is what the CLI's --alpha flag does; the delay
-   problem's coefficients genuinely depend on alpha, so nothing less works.
+Re-deriving the coefficients at another rational alpha is what the CLI's
+--alpha flag does; the delay problem's coefficients genuinely depend on
+alpha, so nothing less works.
 
-2. For problems whose coefficients happen to be alpha-free (the
-   drift-diffusion file: every coefficient is x + 1), the numeric layer can
-   sweep real-valued alpha directly in eval_solution without re-solving.
-   The series becomes (x+1) * sum t^(k*alpha)/Gamma(1+k*alpha), the partial
-   sum of a Mittag-Leffler profile.
+1. The delay problem: how one coefficient changes with alpha.
+
+2. The drift-diffusion file, whose coefficients are x + 1 at every alpha:
+   the series is (x+1) * sum t^(k*alpha)/Gamma(1+k*alpha), the partial sum
+   of a Mittag-Leffler profile, and tends to (x+1)*e^t as alpha -> 1.
 
     python3 demos/alpha_sweep.py
 """
@@ -35,17 +35,17 @@ def rational_sweep():
     print()
 
 
-def real_sweep():
+def profile_sweep():
     prob = parse_problem_file(PROBLEMS / "kolmogorov.frac")
-    sol = solve(prob, 8)
     x, t = 0.5, 0.8
     print(f"drift-diffusion at (x, t) = ({x}, {t}), alpha-free coefficients:")
-    for a in (0.6, 0.7, 0.8, 0.9, 1.0):
-        v = eval_solution(sol, x, t, alpha=a)
-        print(f"  alpha = {a:.1f}:  u = {v:.12f}")
+    for a in (Fraction(3, 5), Fraction(7, 10), Fraction(4, 5), Fraction(9, 10), Fraction(1)):
+        sol = solve(replace(prob, alpha=a), 8)
+        v = eval_solution(sol, x, t)
+        print(f"  alpha = {float(a):.1f}:  u = {v:.12f}")
     print(f"  alpha -> 1 target (x+1)*e^t = {(x + 1) * math.exp(t):.12f}")
 
 
 if __name__ == "__main__":
     rational_sweep()
-    real_sweep()
+    profile_sweep()

@@ -1,10 +1,17 @@
 """Numeric evaluation of series solutions, error tables, and export.
 
-Evaluation binds parameters to floats, computes t^(k*alpha) as
-exp(k*alpha*ln t) with the t = 0 terms short-circuited, and divides by the
-Gamma normalization via gamma_real.  Error tables compare against a
-reference: a closed form in x and t, a callable, or a flat list of
-tabulated values in grid order (x outer, t inner).
+Each call compiles the solution once for its parameter binding: every
+coefficient becomes a float table (per exponential term, the polynomial
+coefficients in Horner order and the frequency), evaluated once per distinct
+x; t^(k*alpha) is computed once per distinct t as exp(k*alpha*ln t), with
+t = 0 short-circuited, and Gamma(1+k*alpha) once per k via gamma_real. A
+grid point is then a K-term sum of term * t^(k*alpha) / Gamma(1+k*alpha).
+Where either factor leaves the double range, that term's weight is
+exp(k*alpha*ln t - lgamma(1+k*alpha)) instead, so a value that fits in a
+double is returned even at high order; a NaN or infinite total is an
+EvalError. Error tables compare against a reference: a closed form in x and
+t, a callable, or a flat list of tabulated values in grid order (x outer,
+t inner).
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EvalError
@@ -30,11 +36,10 @@ Reference = Union[
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Cartesian evaluation grid with optional alpha override."""
+    """Cartesian evaluation grid."""
 
     xs: tuple[float, ...]
     ts: tuple[float, ...]
-    alpha: Optional[float] = None
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -47,8 +52,6 @@ class EvalGrid:
                 raise EvalError("grid values must be finite")
         if any(t < 0 for t in ts):
             raise EvalError("t values must be >= 0")
-        if self.alpha is not None and not (0 < float(self.alpha) <= 1):
-            raise EvalError("alpha override must lie in (0, 1]")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ts", ts)
 
@@ -58,10 +61,85 @@ class EvalGrid:
                 yield xv, tv
 
 
-def _time_power(t: float, e: float) -> float:
-    if t == 0.0:
-        return 1.0 if e == 0 else 0.0
-    return math.exp(e * math.log(t))
+class _Compiled:
+    """One solution under one parameter binding, as float tables.
+
+    Coefficient values are kept per distinct x and time weights per distinct
+    t, for the lifetime of one call only.
+    """
+
+    def __init__(self, sol: SeriesSolution, params: Optional[Mapping[str, float]]):
+        bind = sol.problem.param_floats(params)
+        # per coefficient, per term: (Horner coefficients, frequency)
+        self.tables = [
+            [(tuple(c.eval(bind) for c in reversed(poly)), mu.eval(bind))
+             for mu, poly in e.terms]
+            for e in sol.coeffs
+        ]
+        self.kas = [float(k * sol.problem.alpha) for k in range(len(sol.coeffs))]
+        self.gammas = []
+        for ka in self.kas:
+            try:
+                self.gammas.append(gamma_real(1.0 + ka))
+            except OverflowError:
+                self.gammas.append(math.inf)
+        self._values: dict[float, list[tuple[int, float]]] = {}
+        self._weights: dict[float, list[tuple[float, float]]] = {}
+
+    def values(self, x: float) -> list[tuple[int, float]]:
+        """(k, coefficient k at x) for the coefficients that are not 0.0."""
+        out = self._values.get(x)
+        if out is None:
+            out = []
+            try:
+                for k, terms in enumerate(self.tables):
+                    total = 0.0
+                    for cs, mv in terms:
+                        pv = 0.0
+                        for c in cs:
+                            pv = pv * x + c
+                        total += pv * math.exp(mv * x) if mv != 0.0 else pv
+                    if total != 0.0:
+                        out.append((k, total))
+            except OverflowError as exc:
+                raise EvalError(f"overflow evaluating expression at x={x}") from exc
+            self._values[x] = out
+        return out
+
+    def weights(self, t: float) -> list[tuple[float, float]]:
+        """Per k, (p, d) such that term * p / d is the term's share at t."""
+        out = self._weights.get(t)
+        if out is None:
+            out = []
+            lt = math.log(t) if t != 0.0 else 0.0
+            for ka, g in zip(self.kas, self.gammas):
+                if t == 0.0:
+                    tp = 1.0 if ka == 0 else 0.0
+                else:
+                    try:
+                        tp = math.exp(ka * lt)
+                    except OverflowError:
+                        tp = math.inf
+                if (tp == math.inf or g == math.inf) and tp != 0.0:
+                    # a factor leaves the double range: weight in log space
+                    try:
+                        tp = math.exp(ka * lt - math.lgamma(1.0 + ka))
+                    except OverflowError:
+                        tp = math.inf
+                    g = 1.0
+                out.append((tp, g))
+            self._weights[t] = out
+        return out
+
+    def at(self, x: float, t: float) -> float:
+        w = self.weights(t)
+        total = 0.0
+        for k, term in self.values(x):
+            tp, g = w[k]
+            total += term * tp / g
+        if math.isnan(total) or math.isinf(total):
+            raise EvalError(f"evaluation produced {total} at x={x}, t={t}")
+        return total
 
 
 def eval_solution(
@@ -69,37 +147,11 @@ def eval_solution(
     x: float,
     t: float,
     params: Optional[Mapping[str, float]] = None,
-    alpha: Optional[float] = None,
 ) -> float:
-    """Value of the truncated series at one point.
-
-    The alpha override only re-weights the time powers t^(k*alpha) and the
-    Gamma normalization; the symbolic coefficients keep whatever alpha the
-    problem was derived with, so overriding is meaningful for problems whose
-    coefficients do not themselves depend on alpha.  For the general case
-    re-derive at the desired alpha instead (the command line does exactly
-    that).
-    """
+    """Value of the truncated series at one point."""
     if t < 0:
         raise EvalError("t must be >= 0")
-    bind = sol.problem.param_floats(params)
-    exact_a: Optional[Fraction] = sol.problem.alpha if alpha is None else None
-    a = float(sol.problem.alpha) if alpha is None else float(alpha)
-    if not (0 < a <= 1):
-        raise EvalError("alpha must lie in (0, 1]")
-    total = 0.0
-    try:
-        for k, e in enumerate(sol.coeffs):
-            ka = float(k * exact_a) if exact_a is not None else k * a
-            term = e.eval(x, bind)
-            if term == 0.0:
-                continue
-            total += term * _time_power(t, ka) / gamma_real(1.0 + ka)
-    except OverflowError as exc:
-        raise EvalError(f"overflow while evaluating at x={x}, t={t}: {exc}")
-    if math.isnan(total) or math.isinf(total):
-        raise EvalError(f"evaluation produced {total} at x={x}, t={t}")
-    return total
+    return _Compiled(sol, params).at(x, t)
 
 
 # -- error tables -----------------------------------------------------------------
@@ -117,7 +169,7 @@ class TableRow:
 class ErrorTable:
     problem: str
     order: int
-    alpha: str  # exact rational, or the float override as printed
+    alpha: str  # the exact rational, as printed
     rows: tuple[TableRow, ...]
     has_reference: bool
     reference_desc: Optional[str] = None
@@ -154,19 +206,19 @@ def error_table(
     pts = list(grid.points())
     ref_fn, ref_desc = _resolve_reference(reference, len(pts))
     bind = sol.problem.param_floats(grid.params)
+    compiled = _Compiled(sol, grid.params)
     rows = []
     for xv, tv in pts:
-        approx = eval_solution(sol, xv, tv, params=bind, alpha=grid.alpha)
+        approx = compiled.at(xv, tv)
         if ref_fn is None:
             rows.append(TableRow(xv, tv, approx))
         else:
             refv = float(ref_fn(xv, tv, bind))
             rows.append(TableRow(xv, tv, approx, refv, abs(approx - refv)))
-    alpha_txt = str(sol.problem.alpha) if grid.alpha is None else _fmt(grid.alpha)
     return ErrorTable(
         problem=sol.problem.name,
         order=sol.order,
-        alpha=alpha_txt,
+        alpha=str(sol.problem.alpha),
         rows=tuple(rows),
         has_reference=ref_fn is not None,
         reference_desc=ref_desc,

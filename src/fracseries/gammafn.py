@@ -3,7 +3,8 @@
 gamma_real is math.gamma behind a domain guard: the argument must be a
 positive real. math.gamma is exact at integers up to 23 and a few ulps off
 elsewhere; it raises OverflowError once Gamma(r) exceeds the float range
-(r > 171.6).
+(r > 171.6). The numeric layer catches that per term and weights such a
+term in log space instead.
 """
 
 from __future__ import annotations

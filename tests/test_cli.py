@@ -1,6 +1,7 @@
 """Command line: exit codes, deterministic stdout, stream separation."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -200,6 +201,30 @@ def test_exit_1_numeric_failure(capsys, problems_dir):
     code, _, err = run(capsys, "eval", _fx(problems_dir, "klein_gordon.frac"),
                        "-K", "2", "-x", "0.5", "-t", "0.5")
     assert code == 1 and "unbound parameter" in err
+
+
+def test_unbound_parameter_named_in_evaluation_order(capsys, problems_dir):
+    # each term's polynomial coefficients are evaluated before its frequency,
+    # so the first unbound name met is lambda; the frequency would name nu
+    code, _, err = run(capsys, "eval", _fx(problems_dir, "klein_gordon.frac"),
+                       "-x", "1", "-t", "1")
+    assert code == 1 and "unbound parameter 'lambda'" in err
+
+
+def test_eval_past_gamma_overflow(capsys, problems_dir):
+    # Gamma(1+k) leaves the double range from k = 171 on; the sum, 2e, does not
+    code, out, _ = run(capsys, "eval", _fx(problems_dir, "kolmogorov.frac"), "-K", "300",
+                       "-x", "1", "-t", "1")
+    assert code == 0
+    assert abs(float(out) - 2 * math.e) <= 1e-15 * 2 * math.e
+
+
+def test_eval_total_outside_double_range_is_1(capsys, problems_dir):
+    # the partial sum itself exceeds the double range at t = 2000
+    code, out, err = run(capsys, "eval", _fx(problems_dir, "kolmogorov.frac"), "-K", "300",
+                         "-x", "1", "-t", "2000")
+    assert code == 1 and out == ""
+    assert "error: evaluation produced inf at x=1.0, t=2000.0" in err
 
 
 def test_argparse_usage_error_is_2(capsys):

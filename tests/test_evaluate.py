@@ -1,7 +1,9 @@
 """Numeric layer: pointwise sums, truncation error, export round trips."""
 
+import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,10 @@ from fracseries.evaluate import (
     export,
     read_table_csv,
 )
-from fracseries.solver import solve
+from fracseries.scalar import Scalar
+from fracseries.solver import solve, solve_linear
+
+WAVE_PARAMS = {"nu": 1.3, "omega": 0.7, "lambda": 1.1}
 
 
 def test_time_zero_reproduces_initial_condition(diffusion_problem, delay_problem):
@@ -80,8 +85,6 @@ def test_grid_validation():
         EvalGrid(xs=(0.0,), ts=(-1.0,))
     with pytest.raises(EvalError):
         EvalGrid(xs=(float("inf"),), ts=(1.0,))
-    with pytest.raises(EvalError):
-        EvalGrid(xs=(0.0,), ts=(1.0,), alpha=0.0)
 
 
 def test_grid_order_x_outer_t_inner(diffusion_problem):
@@ -149,16 +152,6 @@ def test_tabulated_and_callable_references(diffusion_problem):
         error_table(sol, [1.0], grid)  # wrong length
 
 
-def test_alpha_override_reweights_time_grid(delay_problem):
-    sol = solve(delay_problem, 4)
-    v_half = eval_solution(sol, 1.0, 0.5)
-    v_one = eval_solution(sol, 1.0, 0.5, alpha=1.0)
-    assert v_half != v_one
-    # overriding with the problem's own alpha is a no-op
-    same = eval_solution(sol, 1.0, 0.5, alpha=0.5)
-    assert abs(same - v_half) < 1e-15
-
-
 def test_seventeen_digit_export(diffusion_problem):
     sol = solve(diffusion_problem, 5)
     grid = EvalGrid(xs=(1.0 / 3.0,), ts=(2.0 / 3.0,))
@@ -171,3 +164,67 @@ def test_seventeen_digit_export(diffusion_problem):
 def test_read_table_csv_rejects_empty():
     with pytest.raises(EvalError):
         read_table_csv("")
+
+
+# -- compiled evaluation -------------------------------------------------------------
+
+def _equivalence_cases(diffusion_problem, wave_problem, delay_problem):
+    for a in (Fraction(1, 2), Fraction(3, 5)):
+        yield solve(dataclasses.replace(delay_problem, alpha=a), 8), None, {}
+    yield solve(wave_problem, 4), None, WAVE_PARAMS
+    yield solve(diffusion_problem, 8), diffusion_problem.exact, {}
+
+
+def test_table_cells_equal_pointwise_values(diffusion_problem, wave_problem,
+                                            delay_problem):
+    grid_xs = (-1.0, -0.25, 0.0, 0.5, 1.5)
+    grid_ts = (0.0, 0.125, 0.5, 1.0, 2.5)
+    for sol, ref, params in _equivalence_cases(diffusion_problem, wave_problem,
+                                               delay_problem):
+        tab = error_table(sol, ref, EvalGrid(grid_xs, grid_ts, params=params))
+        assert tab.alpha == str(sol.problem.alpha)
+        for r in tab.rows:
+            assert r.approx == eval_solution(sol, r.x, r.t, params), (sol.problem.name, r)
+
+
+def _scalar_count(sol):
+    return sum(len(poly) + 1 for e in sol.coeffs for _, poly in e.terms)
+
+
+def test_each_scalar_is_evaluated_once_per_table(monkeypatch, wave_problem):
+    calls = 0
+    scalar_eval = Scalar.eval
+
+    def counting(self, params=None):
+        nonlocal calls
+        calls += 1
+        return scalar_eval(self, params)
+
+    sol = solve(wave_problem, 4)
+    monkeypatch.setattr(Scalar, "eval", counting)
+    for n in (2, 61):
+        calls = 0
+        axis = tuple(i / n for i in range(n))
+        error_table(sol, None, EvalGrid(axis, axis, params=WAVE_PARAMS))
+        assert calls == _scalar_count(sol), n
+
+
+def test_high_order_matches_mpmath(diffusion_problem):
+    # (x+1) * sum_k t^(k*alpha)/Gamma(1+k*alpha) at 50 digits; from K = 171
+    # on Gamma(1+k) leaves the double range, and at t = 600 so does t^k
+    mpmath = pytest.importorskip("mpmath")
+    x = 0.5
+    for alpha in (Fraction(1), Fraction(1, 2), Fraction(3, 4)):
+        prob = dataclasses.replace(diffusion_problem, alpha=alpha)
+        for K in (170, 171, 300):
+            sol = solve_linear(prob, K)
+            for t in (0, 1, 20, 150, 600):
+                with mpmath.workdps(50):
+                    a = mpmath.mpf(alpha.numerator) / alpha.denominator
+                    want = (x + 1) * mpmath.fsum(
+                        mpmath.power(t, k * a) / mpmath.gamma(1 + k * a)
+                        for k in range(K + 1)
+                    )
+                got = eval_solution(sol, x, float(t))
+                assert abs(got - want) <= 1e-12 * abs(want), (alpha, K, t, got, want)
+
