@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -142,9 +143,6 @@ class _Parser:
     def at_op(self, ch: str) -> bool:
         t = self.peek()
         return t.kind == "op" and t.text == ch
-
-    def done(self) -> bool:
-        return self.peek().kind == "end"
 
     def _enter(self, pos) -> None:
         self.depth += 1
@@ -570,18 +568,11 @@ def _dx_product(q: Fraction, units: list, n: int, pos) -> list:
             if du is None:
                 continue
             extra, u = du
-            spread(i + 1, left - k, coef * _binom(left, k), acc + [u])
+            # the binomials along one spread multiply to the multinomial coefficient
+            spread(i + 1, left - k, coef * comb(left, k), acc + [u])
 
     spread(0, n, Fraction(1), [])
     return out
-
-
-def _binom(n: int, k: int) -> Fraction:
-    # iterated Leibniz over the unit list: product of binomials along the
-    # spread equals the multinomial coefficient
-    from math import comb
-
-    return Fraction(comb(n, k))
 
 
 def _dx_unit(u: tuple, k: int):
@@ -748,10 +739,6 @@ def _split_lines(text: str) -> list[tuple[int, str, str, int]]:
     return out
 
 
-def _parse_value(val: str, lineno: int, vcol: int) -> list[_Tok]:
-    return _tokenize(val, line=lineno, col=vcol)
-
-
 _INT_SUFFIX_KEYS = ("ic", "forcing")
 
 
@@ -805,7 +792,7 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
     for name in param_order:
         lineno, val, vcol = param_lines[name]
         if val.strip():
-            node = _Parser(_parse_value(val, lineno, vcol)).parse_full()
+            node = _Parser(_tokenize(val, line=lineno, col=vcol)).parse_full()
             params[name] = _lower_scalar(node, env, f"value of parameter '{name}'")
         else:
             params[name] = None
@@ -824,7 +811,7 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
             if not name:
                 raise ParseError("empty problem name", lineno, vcol)
             continue
-        toks = _parse_value(val, lineno, vcol)
+        toks = _tokenize(val, line=lineno, col=vcol)
         parser = _Parser(toks)
         node = parser.parse_full()
         if kind == "alpha":
@@ -893,16 +880,12 @@ def parse_problem_file(path) -> Problem:
 
 # -- serialization --------------------------------------------------------------
 
-def _frac_source(f: Fraction) -> str:
-    return str(f)
-
-
 def _scale_source(c: Fraction, var: str) -> str:
     if c == 1:
         return var
     if c.numerator == 1:
         return f"{var}/{c.denominator}"
-    return f"{_frac_source(c)}*{var}"
+    return f"{c}*{var}"
 
 
 def _factor_source(f: RhsFactor) -> str:
@@ -950,7 +933,7 @@ def rhs_to_source(rhs: RhsOperator) -> str:
 def problem_to_source(p: Problem) -> str:
     """Serialize a problem back to file syntax (parses to an equal Problem)."""
     out = [f"name = {p.name}"]
-    out.append(f"alpha = {_frac_source(p.alpha)}")
+    out.append(f"alpha = {p.alpha}")
     out.append(f"order = {p.m}")
     for pname, val in p.params.items():
         if val is None:

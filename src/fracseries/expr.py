@@ -11,7 +11,9 @@ atoms are canonical under translation: gamma(3/2) is built as
 gamma(1/2)/2, so Expr.const(gamma(3/2) - gamma(1/2)/2).is_zero() holds. The
 reflection and multiplication relations are not applied:
 gamma(1/4)*gamma(3/4) and 2^(1/2)*gamma(1/2)^2 are both pi*sqrt(2) but
-differ structurally, and probe_zero is the numeric fallback for such forms.
+differ structurally, so their difference is not zero here. probe_equal and
+probe_zero compare numerically at random points; no verdict of the package
+uses them.
 
 Also defined here: the time-coefficient markers a right-hand-side term may
 carry (trivial, exp(c*t), polynomial in t), which the solver interprets.
@@ -472,9 +474,6 @@ class TimeCoef:
 
     __slots__ = ()
 
-    def at_zero(self) -> Scalar:
-        raise NotImplementedError
-
     def free_params(self) -> frozenset[str]:
         return frozenset()
 
@@ -483,18 +482,12 @@ class TimeCoef:
 class UnitTime(TimeCoef):
     """No time dependence."""
 
-    def at_zero(self) -> Scalar:
-        return Scalar.one()
-
 
 @dataclass(frozen=True)
 class ExpTime(TimeCoef):
     """exp(rate * t)."""
 
     rate: Scalar
-
-    def at_zero(self) -> Scalar:
-        return Scalar.one()
 
     def free_params(self) -> frozenset[str]:
         return self.rate.free_params()
@@ -505,9 +498,6 @@ class PolyTime(TimeCoef):
     """Polynomial in plain t: coeffs[j] * t^j."""
 
     coeffs: tuple[Scalar, ...]
-
-    def at_zero(self) -> Scalar:
-        return self.coeffs[0] if self.coeffs else Scalar.zero()
 
     def free_params(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()

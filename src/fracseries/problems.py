@@ -168,8 +168,8 @@ class ExactSolution:
             v = _xt_eval(self.node, x, t, params)
         except (OverflowError, ValueError, ZeroDivisionError) as exc:
             raise EvalError(f"reference evaluation failed at x={x}, t={t}: {exc}")
-        if isinstance(v, complex) or math.isnan(v):
-            raise EvalError(f"reference evaluation failed at x={x}, t={t}")
+        if isinstance(v, complex) or not math.isfinite(v):
+            raise EvalError(f"reference evaluation produced {v} at x={x}, t={t}")
         return float(v)
 
     def free_params(self) -> set[str]:

@@ -19,9 +19,9 @@ normalized to leading coefficient one with common monomial content
 cancelled. The zero Scalar is the unique empty numerator. Gamma atoms are
 canonical under translation only: the reflection and multiplication
 formulas are not applied, so gamma(1/4)*gamma(3/4) and
-2^(1/2)*gamma(1/2)^2 (both pi*sqrt(2)) stay distinct, and such equal values
-are caught only by numeric probing at the expression layer. Sums are not
-factored, so quotients reduce only up to monomial content.
+2^(1/2)*gamma(1/2)^2 (both pi*sqrt(2)) stay distinct, and a residual
+check reports such a value-equal pair as nonzero. Sums are not factored, so
+quotients reduce only up to monomial content.
 """
 
 from __future__ import annotations

@@ -74,19 +74,12 @@ class FracSeries:
                 return e
         return Expr.zero()
 
-    def value_at_zero(self) -> Expr:
-        return self.coeff(0)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     @classmethod
     def zero(cls, alpha, trunc: int = 0) -> "FracSeries":
         return cls(alpha, trunc, {})
-
-    @classmethod
-    def unit(cls, alpha, trunc: int = 0) -> "FracSeries":
-        return cls(alpha, trunc, {0: Expr.one()})
 
     def _check_alpha(self, other: "FracSeries") -> None:
         if self.alpha != other.alpha:

@@ -89,11 +89,7 @@ def test_criterion_2_wave_closed_forms(wave_problem):
     assert sol.coeff(0) == wave_problem.ics[0]
     assert sol.coeff(1) == wave_problem.ics[1]
     for k, want in _wave_expected().items():
-        got = sol.coeff(k)
-        same = (got - want).is_zero() or probe_equal(
-            got, want, points=10, rtol=1e-9
-        )
-        assert same, f"coefficient {k} does not match its closed form"
+        assert sol.coeff(k) == want, f"coefficient {k} does not match its closed form"
 
     # one power of lambda too low must be detected at coefficient 4
     nu = Scalar.param("nu")
@@ -132,11 +128,7 @@ def test_criterion_3_delay_coefficients_symbolic_and_numeric(delay_problem):
     sol = solve(delay_problem, 3)
     assert sol.coeff(1) == x
     for k, c in ((2, _delay_c1(a)), (3, _delay_c2(a))):
-        want = x.scalar_mul(c)
-        got = sol.coeff(k)
-        assert (got - want).is_zero() or probe_equal(
-            got, want, points=10, rtol=1e-9
-        ), f"coefficient {k} mismatch at alpha = {a}"
+        assert sol.coeff(k) == x.scalar_mul(c), f"coefficient {k} mismatch at alpha = {a}"
 
     # numeric, same alpha: rebuild the partial sum from float constants
     c1f = 2.0**-0.5 + 0.5

@@ -227,6 +227,17 @@ def test_eval_total_outside_double_range_is_1(capsys, problems_dir):
     assert "error: evaluation produced inf at x=1.0, t=2000.0" in err
 
 
+def test_exact_reference_outside_double_range_is_1(capsys, tmp_path):
+    # exp(700)*exp(700) overflows to inf; the table must not print it
+    big = tmp_path / "big.frac"
+    big.write_text("alpha = 1\norder = 1\nic0 = x\nrhs = Dx(psi)\n"
+                   "exact = exp(700)*exp(700)*x\n")
+    code, out, err = run(capsys, "table", str(big), "--exact", "-K", "4",
+                         "--grid", "x=1:1:1 t=0:1:1", "--format", "csv")
+    assert code == 1 and out == ""
+    assert "error: reference evaluation produced inf at x=1.0, t=0.0" in err
+
+
 def test_argparse_usage_error_is_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fracseries.errors import AlphaOutOfRange, EvalError, ProblemError
-from fracseries.expr import Expr, ExpTime, UNIT_TIME
+from fracseries.expr import Expr, ExpTime
 from fracseries.problems import (
     ExactSolution,
     Problem,
@@ -145,8 +145,3 @@ def test_exact_solution_params_and_source():
     # round trip through the stored source
     again = parse_exact(ex.to_source())
     assert again == ex
-
-
-def test_tcoef_at_zero():
-    assert UNIT_TIME.at_zero().is_one()
-    assert ExpTime(Scalar.from_fraction(3)).at_zero().is_one()

@@ -142,7 +142,7 @@ def test_caputo_shift_structure():
         if n + p <= 6:
             assert s.caputo_shift(n).caputo_shift(p) == s.caputo_shift(n + p)
         # shift then value at zero reads coefficient n
-        assert s.caputo_shift(n).value_at_zero() == s.coeff(n)
+        assert s.caputo_shift(n).coeff(0) == s.coeff(n)
 
 
 def test_caputo_shift_annihilates_short_series():

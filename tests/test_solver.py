@@ -10,7 +10,7 @@ from fracseries.errors import (
     ProblemError,
     TimeCoefficientIncompatible,
 )
-from fracseries.expr import Expr, ExpTime, PolyTime, probe_equal
+from fracseries.expr import Expr, ExpTime, PolyTime
 from fracseries.problems import Problem, RhsFactor, RhsOperator, RhsTerm
 from fracseries.scalar import Scalar
 from fracseries.series import FracSeries
@@ -393,11 +393,32 @@ def test_residual_orders_all_pass(delay_problem, wave_problem):
         assert all(ok for _, ok in verdicts)
 
 
-def test_residual_detects_corruption(delay_problem):
+def test_residual_detects_corruption(delay_problem, wave_problem, diffusion_problem):
     sol = solve(delay_problem, 5)
     bad = sol.replace_coeff(3, sol.coeff(3) + Expr.one())
     verdicts = dict(residual_orders(delay_problem, bad))
     # first failure exactly at order 3 - m = 2
+    assert verdicts[0] and verdicts[1]
+    assert not verdicts[2]
+
+    # a shift far below any numeric tolerance still fails first at order 3 - m
+    tiny = Expr.const(Fraction(1, 10**12))
+    for prob in (delay_problem, wave_problem, diffusion_problem):
+        sol = solve(prob, 6)
+        verdicts = residual_orders(prob, sol.replace_coeff(3, sol.coeff(3) + tiny))
+        first_fail = next((j for j, ok in verdicts if not ok), None)
+        assert first_fail == 3 - prob.m, prob.name
+
+    # zero only by the reflection formula, which the Scalars do not apply:
+    # the residual is not structurally zero, so the verdict is FAIL
+    g = Scalar.gamma
+    reflected = g(Fraction(1, 4)) * g(Fraction(3, 4)) - Scalar.rational_power(
+        2, Fraction(1, 2)
+    ) * g(Fraction(1, 2)) ** 2
+    assert abs(reflected.eval({})) < 1e-14
+    sol = solve(diffusion_problem, 6)
+    bad = sol.replace_coeff(3, sol.coeff(3) + Expr.const(reflected))
+    verdicts = dict(residual_orders(diffusion_problem, bad))
     assert verdicts[0] and verdicts[1]
     assert not verdicts[2]
 
