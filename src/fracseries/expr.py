@@ -252,7 +252,9 @@ class Expr:
         return self.terms == Expr._coerce(other).terms
 
     def __hash__(self):
-        return hash(self.terms)
+        # agree with __eq__, which accepts Scalar, int and Fraction
+        s = self.as_scalar()
+        return hash(self.terms) if s is None else hash(s)
 
     # -- numerics ------------------------------------------------------------------
 

@@ -16,12 +16,14 @@ exponents. Three atom kinds exist:
 The representation is canonical: coefficients in lowest terms, zero terms
 absent, monomials sorted, prime-atom exponents in (0, 1), denominators
 normalized to leading coefficient one with common monomial content
-cancelled. The zero Scalar is the unique empty numerator. Gamma atoms are
-canonical under translation only: the reflection and multiplication
-formulas are not applied, so gamma(1/4)*gamma(3/4) and
+cancelled. The zero Scalar is the unique empty numerator. Integral
+exponents are ints. Denominators equal to 1 share one unit-sum tuple, and
+sums and products of such Scalars skip the quotient normalization. Gamma
+atoms are canonical under translation only: the reflection and
+multiplication formulas are not applied, so gamma(1/4)*gamma(3/4) and
 2^(1/2)*gamma(1/2)^2 (both pi*sqrt(2)) stay distinct, and a residual
-check reports such a value-equal pair as nonzero. Sums are not factored, so
-quotients reduce only up to monomial content.
+check reports such a value-equal pair as nonzero. Sums are not factored,
+so quotients reduce only up to monomial content.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from .gammafn import gamma_real
 #   ('p', str name)       named parameter
 #   ('r', int prime)      prime base with fractional exponent
 Atom = tuple
-# A signature is a sorted tuple of (atom, exponent) pairs with exponents != 0.
+# A signature is a sorted tuple of (atom, exponent) pairs with exponents != 0;
+# an integral exponent is an int (hashed far faster than, and equal to, the
+# Fraction of the same value), a non-integral one a Fraction.
 Sig = tuple
 
 _ZERO = Fraction(0)
@@ -71,9 +75,10 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _normalize_exponents(exps: dict[Atom, Fraction]) -> tuple[Sig, Fraction]:
-    """Drop zero exponents, pull integer parts of prime-atom powers into a
-    rational multiplier, and return a sorted signature."""
+def _normalize_exponents(exps: dict[Atom, int | Fraction]) -> tuple[Sig, Fraction]:
+    """Drop zero exponents, store integral ones as int, pull integer parts of
+    prime-atom powers into a rational multiplier, and return a sorted
+    signature."""
     mult = _ONE
     items = []
     for atom, e in exps.items():
@@ -87,15 +92,17 @@ def _normalize_exponents(exps: dict[Atom, Fraction]) -> tuple[Sig, Fraction]:
             if frac:
                 items.append((atom, frac))
         else:
-            items.append((atom, e))
+            items.append((atom, e if e.denominator != 1 else int(e)))
     items.sort()
     return tuple(items), mult
 
 
 def _mono_mul(sig_a: Sig, ca: Fraction, sig_b: Sig, cb: Fraction) -> tuple[Sig, Fraction]:
-    exps: dict[Atom, Fraction] = dict(sig_a)
+    if not sig_a or not sig_b:  # a normalized signature times a constant
+        return sig_a or sig_b, ca * cb
+    exps: dict[Atom, int | Fraction] = dict(sig_a)
     for atom, e in sig_b:
-        exps[atom] = exps.get(atom, _ZERO) + e
+        exps[atom] = exps.get(atom, 0) + e
     sig, mult = _normalize_exponents(exps)
     return sig, ca * cb * mult
 
@@ -130,11 +137,11 @@ def _rational_power(q: Fraction, e: Fraction) -> tuple[Sig, Fraction]:
     return _normalize_exponents(exps)
 
 
-# Sum helpers work on {sig: coeff} dicts and tolerate tuple inputs.
+# Sum helpers read iterables of (sig, coeff) pairs, return {sig: coeff} dicts.
 
 def _sum_add(a, b) -> dict[Sig, Fraction]:
     out = dict(a)
-    for sig, c in dict(b).items():
+    for sig, c in b:
         nc = out.get(sig, _ZERO) + c
         if nc:
             out[sig] = nc
@@ -145,9 +152,8 @@ def _sum_add(a, b) -> dict[Sig, Fraction]:
 
 def _sum_mul(a, b) -> dict[Sig, Fraction]:
     out: dict[Sig, Fraction] = {}
-    bd = dict(b).items()
-    for sig_a, ca in dict(a).items():
-        for sig_b, cb in bd:
+    for sig_a, ca in a:
+        for sig_b, cb in b:
             sig, c = _mono_mul(sig_a, ca, sig_b, cb)
             nc = out.get(sig, _ZERO) + c
             if nc:
@@ -155,12 +161,6 @@ def _sum_mul(a, b) -> dict[Sig, Fraction]:
             else:
                 out.pop(sig, None)
     return out
-
-
-def _sum_scale(a, q: Fraction) -> dict[Sig, Fraction]:
-    if not q:
-        return {}
-    return {sig: c * q for sig, c in dict(a).items()}
 
 
 _ONE_SUM: tuple = (((), _ONE),)
@@ -181,8 +181,13 @@ class Scalar:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _make(num, den) -> "Scalar":
-        num = {sig: c for sig, c in dict(num).items() if c}
+    def _make(num: dict[Sig, Fraction], den) -> "Scalar":
+        if den is _ONE_SUM:
+            # num holds normalized signatures and no zero coefficients
+            if not num:
+                return _ZERO_SCALAR
+            return Scalar(tuple(sorted(num.items())), _ONE_SUM, _raw=True)
+        num = {sig: c for sig, c in num.items() if c}
         den = {sig: c for sig, c in dict(den).items() if c}
         if not den:
             raise ScalarError("division by a symbolically zero scalar")
@@ -235,9 +240,7 @@ class Scalar:
     @classmethod
     def from_fraction(cls, q) -> "Scalar":
         q = Fraction(q)
-        if not q:
-            return cls._make({}, dict(_ONE_SUM))
-        return cls._make({(): q}, dict(_ONE_SUM))
+        return cls._make({(): q} if q else {}, _ONE_SUM)
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -249,7 +252,7 @@ class Scalar:
 
     @classmethod
     def param(cls, name: str) -> "Scalar":
-        return cls._make({((("p", name), _ONE),): _ONE}, dict(_ONE_SUM))
+        return cls._make({((("p", name), 1),): _ONE}, _ONE_SUM)
 
     @classmethod
     def gamma(cls, arg) -> "Scalar":
@@ -261,7 +264,7 @@ class Scalar:
         n = arg.numerator // arg.denominator
         f = arg - n
         poch = math.prod((f + i for i in range(n)), start=_ONE)
-        return cls._make({((("g", f), _ONE),): poch}, dict(_ONE_SUM))
+        return cls._make({((("g", f), 1),): poch}, _ONE_SUM)
 
     @classmethod
     def rational_power(cls, base, exp) -> "Scalar":
@@ -272,7 +275,7 @@ class Scalar:
                 return cls.zero()
             raise ScalarError("0 raised to a non-positive power")
         sig, c = _rational_power(base, exp)
-        return cls._make({sig: c}, dict(_ONE_SUM))
+        return cls._make({sig: c}, _ONE_SUM)
 
     # -- shape predicates ----------------------------------------------------
 
@@ -317,14 +320,15 @@ class Scalar:
     def __add__(self, other: ScalarLike) -> "Scalar":
         o = self._coerce(other)
         if self.den == o.den:
-            return Scalar._make(_sum_add(self.num, o.num), dict(self.den))
-        n = _sum_add(_sum_mul(self.num, o.den), _sum_mul(o.num, self.den))
+            return Scalar._make(_sum_add(self.num, o.num), self.den)
+        n = _sum_add(_sum_mul(self.num, o.den), _sum_mul(o.num, self.den).items())
         return Scalar._make(n, _sum_mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar._make(_sum_scale(self.num, Fraction(-1)), dict(self.den))
+        # negating the numerator keeps every canonical property of num/den
+        return Scalar(tuple((sig, -c) for sig, c in self.num), self.den, _raw=True)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-self._coerce(other))
@@ -334,7 +338,8 @@ class Scalar:
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         o = self._coerce(other)
-        return Scalar._make(_sum_mul(self.num, o.num), _sum_mul(self.den, o.den))
+        den = _ONE_SUM if self.den is o.den is _ONE_SUM else _sum_mul(self.den, o.den)
+        return Scalar._make(_sum_mul(self.num, o.num), den)
 
     __rmul__ = __mul__
 
@@ -389,7 +394,9 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # agree with __eq__, which accepts int and Fraction
+        q = self.as_fraction()
+        return hash((self.num, self.den)) if q is None else hash(q)
 
     # -- numerics ----------------------------------------------------------------
 

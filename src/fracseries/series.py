@@ -18,6 +18,7 @@ Scalar layer (and collapse to binomial coefficients at alpha = 1).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -25,7 +26,7 @@ from .errors import AlphaMismatch, FracError
 from .expr import Expr
 from .scalar import Scalar
 
-_weight_cache: dict[tuple[Fraction, int, int], Scalar] = {}
+_WEIGHT_CACHE_SIZE = 4096  # all (i, j) pairs of one alpha up to K = 125
 
 
 def gamma_factor(alpha: Fraction, k: int) -> Scalar:
@@ -34,12 +35,12 @@ def gamma_factor(alpha: Fraction, k: int) -> Scalar:
 
 
 def _mul_weight(alpha: Fraction, i: int, j: int) -> Scalar:
-    key = (alpha, i, j) if i <= j else (alpha, j, i)
-    w = _weight_cache.get(key)
-    if w is None:
-        w = gamma_factor(alpha, i + j) / (gamma_factor(alpha, i) * gamma_factor(alpha, j))
-        _weight_cache[key] = w
-    return w
+    return _weight(alpha, i, j) if i <= j else _weight(alpha, j, i)
+
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _weight(alpha: Fraction, lo: int, hi: int) -> Scalar:
+    return gamma_factor(alpha, lo + hi) / (gamma_factor(alpha, lo) * gamma_factor(alpha, hi))
 
 
 class FracSeries:

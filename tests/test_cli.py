@@ -1,5 +1,6 @@
 """Command line: exit codes, deterministic stdout, stream separation."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,9 @@ from fracseries.cli import main
 from fracseries.dsl import parse_problem_file
 from fracseries.evaluate import EvalGrid, error_table, eval_solution, export
 from fracseries.solver import solve
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden_stdout.json"
 
 
 def run(capsys, *argv):
@@ -138,6 +142,27 @@ def test_delay_coefficients_golden(capsys, problems_dir):
         "coeff[4](x) = (7/8 + 1/2*gamma(1/2)^(-2) + 1/4*gamma(1/2)^(-2)*2^(1/2)"
         " + 9/16*2^(1/2))*x\n"
     )
+
+
+def test_stdout_matches_golden_digests(capsys, problems_dir):
+    """stdout sha256 and exit code of `coeffs --format json` and `residual`
+    on every shipped problem at K = 8 and six alphas.
+
+    The digests in tests/data/golden_stdout.json pin the exact coefficients
+    and verdicts byte for byte. Only a change that means to alter stdout may
+    regenerate them: rerun each case's argv and store the new sha256 and exit
+    code, and say in the change what output changed and why.
+    """
+    cases = json.loads(GOLDEN.read_text())
+    wrong = []
+    for case in cases:
+        argv = [_fx(problems_dir, a) if a.endswith(".frac") else a for a in case["argv"]]
+        code, out, _ = run(capsys, *argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (case["exit"], case["sha256"]):
+            wrong.append(" ".join(case["argv"]))
+    assert len(cases) == 36
+    assert not wrong, wrong
 
 
 def test_stdout_is_deterministic(capsys, problems_dir):

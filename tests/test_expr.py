@@ -53,6 +53,12 @@ def test_structural_equality_detects_reassociation():
     rhs = (x * x - 1) * e
     assert lhs == rhs
     assert (lhs - rhs).is_zero()
+    # a constant Expr equals its Scalar, int or Fraction value and hashes like it
+    nu = Scalar.param("nu")
+    assert Expr.const(nu) == nu and hash(Expr.const(nu)) == hash(nu)
+    assert Expr.const(3) == 3 and hash(Expr.const(3)) == hash(3)
+    assert len({Expr.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(Expr.zero()) == hash(0)
 
 
 def test_product_rule():

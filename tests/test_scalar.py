@@ -1,5 +1,6 @@
 """Exact scalar ring: axioms, canonical forms, numeric agreement."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from fracseries.errors import EvalError, ScalarError
 from fracseries.scalar import Scalar
+from fracseries.solver import apply_rhs, residual_series, solve
 
 
 def _random_scalar(rng, depth=2):
@@ -166,7 +168,7 @@ def test_unbound_parameter_is_an_error():
         Scalar.param("zeta").eval({})
 
 
-def test_structural_identity_is_canonical():
+def test_structural_identity_is_canonical(delay_problem):
     # equal values built along different routes compare equal structurally
     a = Scalar.param("a")
     x = (a + 1) * (a + 1)
@@ -181,6 +183,29 @@ def test_structural_identity_is_canonical():
     q = (a * a - 1) / (a - 1)
     assert q.same_value(a + 1)
     assert (q - (a + 1)).is_zero()
+    # a rational Scalar equals its int or Fraction value, so it hashes like it
+    three = Scalar.from_fraction(3)
+    assert three == 3 and hash(three) == hash(3)
+    assert {3: "x"}.get(three) == "x"
+    assert len({three, 3}) == 1
+    assert hash(Scalar.from_fraction(Fraction(2, 7))) == hash(Fraction(2, 7))
+    # integral exponents are stored as int, prime-atom exponents as a
+    # Fraction in (0, 1), in every Scalar a solve and its residual check build
+    p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
+    sol = solve(p, 6)
+    exprs = list(sol.coeffs)
+    for series in (residual_series(p, sol), apply_rhs(p.rhs, sol.series(), 5)):
+        exprs += [e for _, e in series.coeffs]
+    scalars = [s for e in exprs for mu, poly in e.terms for s in (mu, *poly)]
+    exps = [(atom, e) for s in scalars for part in (s.num, s.den)
+            for sig, _ in part for atom, e in sig]
+    assert any(atom[0] == "g" for atom, _ in exps)
+    assert any(atom[0] == "r" for atom, _ in exps)
+    for atom, e in exps:
+        if atom[0] == "r":
+            assert type(e) is Fraction and 0 < e < 1, (atom, e)
+        elif e.denominator == 1:
+            assert type(e) is int, (atom, e)
 
 
 def test_sources_are_stable():

@@ -15,7 +15,7 @@ import pytest
 
 from fracseries.errors import AlphaMismatch
 from fracseries.expr import Expr
-from fracseries.series import FracSeries, gamma_factor
+from fracseries.series import FracSeries, _mul_weight, gamma_factor
 
 
 def _raw_eval(series, x, t):
@@ -76,6 +76,10 @@ def test_mul_weight_scalars_are_exact():
         gamma_factor(Fraction(1), 1) * gamma_factor(Fraction(1), 3)
     )
     assert w2.as_fraction() == 4  # C(4,1)
+    # the weight is symmetric in (i, j), so both orders share one cached Scalar
+    for a in _ALPHAS:
+        for i, j in ((0, 3), (1, 2), (2, 5)):
+            assert _mul_weight(a, i, j) is _mul_weight(a, j, i)
 
 
 def test_mul_commutative_and_associative():
