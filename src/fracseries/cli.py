@@ -42,6 +42,7 @@ from .solver import (
 )
 
 _DEFAULT_ORDER = 6
+_MAX_GRID_POINTS = 10**6  # x values times t values of one table
 
 
 class _Exit(Exception):
@@ -67,12 +68,12 @@ def _parse_params(pairs: Optional[Sequence[str]]) -> dict[str, float]:
     return out
 
 
-def _parse_range(spec: str, what: str) -> tuple[float, ...]:
-    # "a:b:step" inclusive of both ends, or a single value
+def _parse_range(spec: str, what: str) -> tuple[Fraction, Fraction, int]:
+    # "a:b:step" inclusive of both ends, or a single value: (a, step, count)
     parts = spec.split(":")
     try:
         if len(parts) == 1:
-            return (float(Fraction(parts[0])),)
+            return Fraction(parts[0]), Fraction(1), 1
         if len(parts) != 3:
             raise ValueError
         a, b, step = (Fraction(p) for p in parts)
@@ -82,27 +83,25 @@ def _parse_range(spec: str, what: str) -> tuple[float, ...]:
         raise _Exit(2, f"{what} range step must be positive in '{spec}'")
     if b < a:
         raise _Exit(2, f"{what} range is empty in '{spec}'")
-    vals = []
-    v = a
-    while v <= b:
-        vals.append(float(v))
-        v += step
-    return tuple(vals)
+    return a, step, (b - a) // step + 1
 
 
 def _parse_grid(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    xs = ts = None
+    axes = {}
     for part in spec.split():
         name, sep, rng = part.partition("=")
         if not sep or name not in ("x", "t"):
             raise _Exit(2, f"bad grid component '{part}' (want x=... or t=...)")
-        if name == "x":
-            xs = _parse_range(rng, "x")
-        else:
-            ts = _parse_range(rng, "t")
-    if xs is None or ts is None:
+        axes[name] = _parse_range(rng, name)
+    if len(axes) != 2:
         raise _Exit(2, "grid must specify both x=a:b:step and t=a:b:step")
-    return xs, ts
+    points = axes["x"][2] * axes["t"][2]
+    if points > _MAX_GRID_POINTS:
+        raise _Exit(2, f"grid has {points} points, more than {_MAX_GRID_POINTS}")
+    return tuple(
+        tuple(float(a + i * step) for i in range(n))
+        for a, step, n in (axes["x"], axes["t"])
+    )
 
 
 def _override_alpha(prob: Problem, text: str) -> Problem:
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument(
         "--grid", required=True, metavar='"x=a:b:step t=a:b:step"',
-        help="evaluation grid, both ranges inclusive",
+        help=f"evaluation grid, both ranges inclusive, at most {_MAX_GRID_POINTS} points",
     )
     sp.add_argument(
         "--exact", action="store_true",

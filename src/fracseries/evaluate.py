@@ -185,7 +185,7 @@ def _resolve_reference(reference: Reference, count: int):
     if reference is None:
         return None, None
     if isinstance(reference, ExactSolution):
-        return (lambda x, t, p: reference.eval(x, t, p)), reference.to_source()
+        return reference.eval, reference.to_source()
     if callable(reference):
         return reference, getattr(reference, "__name__", "callable")
     vals = [float(v) for v in reference]

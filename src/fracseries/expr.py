@@ -60,7 +60,8 @@ class Expr:
             tpoly = _trim(list(poly))
             if tpoly:
                 terms.append((mu, tpoly))
-        terms.sort(key=lambda t: t[0].sort_key())
+        if len(terms) > 1:
+            terms.sort(key=lambda t: t[0].sort_key())
         return Expr(tuple(terms), _raw=True)
 
     @classmethod
@@ -145,6 +146,10 @@ class Expr:
 
     def __add__(self, other: ExprLike) -> "Expr":
         o = self._coerce(other)
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
         groups: dict[Scalar, list[Scalar]] = {}
         for mu, poly in self.terms + o.terms:
             acc = groups.setdefault(mu, [])

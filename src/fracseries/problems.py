@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import AlphaOutOfRange, EvalError, ProblemError
 from .expr import Expr, TimeCoef, UNIT_TIME
@@ -154,18 +154,20 @@ class ExactSolution:
 
     Unlike Expr this is evaluation-only: references like x*exp(t) fall
     outside the x-only symbolic class, and the error tables just need
-    numbers.
+    numbers. The tree is compiled once, at construction, into nested
+    closures that do the tree's float operations in the tree's order.
     """
 
-    __slots__ = ("node", "source")
+    __slots__ = ("node", "source", "_fn")
 
     def __init__(self, node: tuple, source: str):
         self.node = node
         self.source = source
+        self._fn = _xt_compile(node)
 
     def eval(self, x: float, t: float, params: Mapping[str, float]) -> float:
         try:
-            v = _xt_eval(self.node, x, t, params)
+            v = self._fn(x, t, params)
         except (OverflowError, ValueError, ZeroDivisionError) as exc:
             raise EvalError(f"reference evaluation failed at x={x}, t={t}: {exc}")
         if isinstance(v, complex) or not math.isfinite(v):
@@ -192,36 +194,49 @@ class ExactSolution:
         return f"ExactSolution({self.source!r})"
 
 
-def _xt_eval(node: tuple, x: float, t: float, params: Mapping[str, float]):
+def _xt_compile(node: tuple) -> Callable[[float, float, Mapping[str, float]], float]:
+    """The node as a function of (x, t, params); operands are evaluated left
+    to right, as a recursive walk of the tree would."""
     tag = node[0]
     if tag == "num":
-        return float(node[1])
+        q = node[1]
+        try:
+            v = float(q)
+        except OverflowError:  # fails at every point, as an evaluation error
+            return lambda x, t, p: float(q)
+        return lambda x, t, p: v
     if tag == "x":
-        return x
+        return lambda x, t, p: x
     if tag == "t":
-        return t
+        return lambda x, t, p: t
     if tag == "param":
         name = node[1]
-        if name not in params:
-            raise EvalError(f"parameter '{name}' has no value")
-        return params[name]
+
+        def param(x, t, p):
+            if name not in p:
+                raise EvalError(f"parameter '{name}' has no value")
+            return p[name]
+        return param
     if tag == "neg":
-        return -_xt_eval(node[1], x, t, params)
+        a = _xt_compile(node[1])
+        return lambda x, t, p: -a(x, t, p)
     if tag == "call":
-        return _XT_FUNCS[node[1]](_xt_eval(node[2], x, t, params))
-    a = _xt_eval(node[1], x, t, params)
-    b = _xt_eval(node[2], x, t, params)
+        fn = _XT_FUNCS[node[1]]
+        a = _xt_compile(node[2])
+        return lambda x, t, p: fn(a(x, t, p))
+    if tag not in ("add", "sub", "mul", "div", "pow"):
+        raise EvalError(f"malformed reference node {tag!r}")
+    a = _xt_compile(node[1])
+    b = _xt_compile(node[2])
     if tag == "add":
-        return a + b
+        return lambda x, t, p: a(x, t, p) + b(x, t, p)
     if tag == "sub":
-        return a - b
+        return lambda x, t, p: a(x, t, p) - b(x, t, p)
     if tag == "mul":
-        return a * b
+        return lambda x, t, p: a(x, t, p) * b(x, t, p)
     if tag == "div":
-        return a / b
-    if tag == "pow":
-        return a ** b
-    raise EvalError(f"malformed reference node {tag!r}")
+        return lambda x, t, p: a(x, t, p) / b(x, t, p)
+    return lambda x, t, p: a(x, t, p) ** b(x, t, p)
 
 
 def _xt_params(node: tuple, out: set) -> None:

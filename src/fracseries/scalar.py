@@ -17,8 +17,13 @@ The representation is canonical: coefficients in lowest terms, zero terms
 absent, monomials sorted, prime-atom exponents in (0, 1), denominators
 normalized to leading coefficient one with common monomial content
 cancelled. The zero Scalar is the unique empty numerator. Integral
-exponents are ints. Denominators equal to 1 share one unit-sum tuple, and
-sums and products of such Scalars skip the quotient normalization. Gamma
+exponents and integral coefficients are ints, everything else a Fraction;
+an int equals and hashes like the Fraction of its value, so this changes
+no comparison or printed form. Every division goes through Fraction, so
+no coefficient is ever a float. Denominators equal to 1 share one
+unit-sum tuple, and sums and products of such Scalars skip the quotient
+normalization. Adding zero, multiplying by zero and multiplying by one
+return an operand (or the zero Scalar) without arithmetic. Gamma
 atoms are canonical under translation only: the reflection and
 multiplication formulas are not applied, so gamma(1/4)*gamma(3/4) and
 2^(1/2)*gamma(1/2)^2 (both pi*sqrt(2)) stay distinct, and a residual
@@ -44,9 +49,10 @@ Atom = tuple
 # an integral exponent is an int (hashed far faster than, and equal to, the
 # Fraction of the same value), a non-integral one a Fraction.
 Sig = tuple
+# A monomial coefficient: an int when integral, else a Fraction (see _demote).
+Coeff = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _FACTOR_LIMIT = 10**9
 
@@ -75,11 +81,16 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _normalize_exponents(exps: dict[Atom, int | Fraction]) -> tuple[Sig, Fraction]:
+def _demote(q: Coeff) -> Coeff:
+    """An integral Fraction as its int numerator; anything else unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _normalize_exponents(exps: dict[Atom, int | Fraction]) -> tuple[Sig, Coeff]:
     """Drop zero exponents, store integral ones as int, pull integer parts of
     prime-atom powers into a rational multiplier, and return a sorted
     signature."""
-    mult = _ONE
+    mult = 1
     items = []
     for atom, e in exps.items():
         if not e:
@@ -94,26 +105,26 @@ def _normalize_exponents(exps: dict[Atom, int | Fraction]) -> tuple[Sig, Fractio
         else:
             items.append((atom, e if e.denominator != 1 else int(e)))
     items.sort()
-    return tuple(items), mult
+    return tuple(items), _demote(mult)
 
 
-def _mono_mul(sig_a: Sig, ca: Fraction, sig_b: Sig, cb: Fraction) -> tuple[Sig, Fraction]:
+def _mono_mul(sig_a: Sig, ca: Coeff, sig_b: Sig, cb: Coeff) -> tuple[Sig, Coeff]:
     if not sig_a or not sig_b:  # a normalized signature times a constant
-        return sig_a or sig_b, ca * cb
+        return sig_a or sig_b, _demote(ca * cb)
     exps: dict[Atom, int | Fraction] = dict(sig_a)
     for atom, e in sig_b:
         exps[atom] = exps.get(atom, 0) + e
     sig, mult = _normalize_exponents(exps)
-    return sig, ca * cb * mult
+    return sig, _demote(ca * cb * mult)
 
 
-def _mono_inv(sig: Sig, c: Fraction) -> tuple[Sig, Fraction]:
+def _mono_inv(sig: Sig, c: Coeff) -> tuple[Sig, Coeff]:
     exps = {atom: -e for atom, e in sig}
     new_sig, mult = _normalize_exponents(exps)
-    return new_sig, mult / c
+    return new_sig, _demote(Fraction(mult) / c)  # int / int would be a float
 
 
-def _mono_pow(sig: Sig, c: Fraction, e: Fraction) -> tuple[Sig, Fraction]:
+def _mono_pow(sig: Sig, c: Coeff, e: Fraction) -> tuple[Sig, Coeff]:
     exps = {atom: ae * e for atom, ae in sig}
     sig2, mult = _normalize_exponents(exps)
     csig, cval = _rational_power(c, e)
@@ -121,49 +132,49 @@ def _mono_pow(sig: Sig, c: Fraction, e: Fraction) -> tuple[Sig, Fraction]:
     return sig3, mult2
 
 
-def _rational_power(q: Fraction, e: Fraction) -> tuple[Sig, Fraction]:
+def _rational_power(q: Coeff, e: Fraction) -> tuple[Sig, Coeff]:
     """q**e as a monomial; q must be nonzero, and positive unless e is integral."""
     if q == 0:
         raise ScalarError("zero base in rational power")
     if e.denominator == 1:
-        return (), q ** int(e)
+        return (), _demote(Fraction(q) ** int(e))  # an int to a negative power is a float
     if q < 0:
         raise ScalarError(f"fractional power of negative rational {q}")
     exps: dict[Atom, Fraction] = {}
     for base, sign in ((q.numerator, 1), (q.denominator, -1)):
         for p, mult in _factorize(base).items():
             atom = ("r", p)
-            exps[atom] = exps.get(atom, _ZERO) + sign * mult * e
+            exps[atom] = exps.get(atom, 0) + sign * mult * e
     return _normalize_exponents(exps)
 
 
 # Sum helpers read iterables of (sig, coeff) pairs, return {sig: coeff} dicts.
 
-def _sum_add(a, b) -> dict[Sig, Fraction]:
+def _sum_add(a, b) -> dict[Sig, Coeff]:
     out = dict(a)
     for sig, c in b:
-        nc = out.get(sig, _ZERO) + c
+        nc = out.get(sig, 0) + c
         if nc:
-            out[sig] = nc
+            out[sig] = _demote(nc)
         else:
             out.pop(sig, None)
     return out
 
 
-def _sum_mul(a, b) -> dict[Sig, Fraction]:
-    out: dict[Sig, Fraction] = {}
+def _sum_mul(a, b) -> dict[Sig, Coeff]:
+    out: dict[Sig, Coeff] = {}
     for sig_a, ca in a:
         for sig_b, cb in b:
             sig, c = _mono_mul(sig_a, ca, sig_b, cb)
-            nc = out.get(sig, _ZERO) + c
+            nc = out.get(sig, 0) + c
             if nc:
-                out[sig] = nc
+                out[sig] = _demote(nc)
             else:
                 out.pop(sig, None)
     return out
 
 
-_ONE_SUM: tuple = (((), _ONE),)
+_ONE_SUM: tuple = (((), 1),)
 
 
 class Scalar:
@@ -181,7 +192,7 @@ class Scalar:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _make(num: dict[Sig, Fraction], den) -> "Scalar":
+    def _make(num: dict[Sig, Coeff], den) -> "Scalar":
         if den is _ONE_SUM:
             # num holds normalized signatures and no zero coefficients
             if not num:
@@ -196,11 +207,11 @@ class Scalar:
         if len(den) == 1:
             (dsig, dc), = den.items()
             inv_sig, inv_c = _mono_inv(dsig, dc)
-            folded: dict[Sig, Fraction] = {}
+            folded: dict[Sig, Coeff] = {}
             for sig, c in num.items():
                 s2, c2 = _mono_mul(sig, c, inv_sig, inv_c)
-                folded[s2] = folded.get(s2, _ZERO) + c2
-            num = {s: c for s, c in folded.items() if c}
+                folded[s2] = folded.get(s2, 0) + c2
+            num = {s: _demote(c) for s, c in folded.items() if c}
             if not num:
                 return _ZERO_SCALAR
             return Scalar(tuple(sorted(num.items())), _ONE_SUM, _raw=True)
@@ -219,27 +230,28 @@ class Scalar:
             if not common:
                 break
         if common:
-            inv_sig, inv_c = _mono_inv(tuple(sorted(common.items())), _ONE)
+            inv_sig, inv_c = _mono_inv(tuple(sorted(common.items())), 1)
             num = dict(_mono_mul(s, c, inv_sig, inv_c) for s, c in num.items())
             den = dict(_mono_mul(s, c, inv_sig, inv_c) for s, c in den.items())
         den_items = sorted(den.items())
-        scale = den_items[0][1]
-        num_t = tuple(sorted((sig, c / scale) for sig, c in num.items()))
-        den_t = tuple((sig, c / scale) for sig, c in den_items)
-        # proportional num/den collapse to their constant ratio
+        scale = Fraction(den_items[0][1])  # int / int would be a float
+        num_t = tuple(sorted((sig, _demote(c / scale)) for sig, c in num.items()))
+        den_t = tuple((sig, _demote(c / scale)) for sig, c in den_items)
+        # proportional num/den collapse to their constant ratio; den_t leads
+        # with coefficient 1, so the ratio is the leading numerator coefficient
         if len(num_t) == len(den_t) and all(
             ns == ds for (ns, _), (ds, _) in zip(num_t, den_t)
         ):
-            ratio = num_t[0][1] / den_t[0][1]
+            ratio = num_t[0][1]
             if all(nc == ratio * dc for (_, nc), (_, dc) in zip(num_t, den_t)):
                 if ratio == 1:
-                    return Scalar(_ONE_SUM, _ONE_SUM, _raw=True)
+                    return _ONE_SCALAR
                 return Scalar((((), ratio),), _ONE_SUM, _raw=True)
         return Scalar(num_t, den_t, _raw=True)
 
     @classmethod
     def from_fraction(cls, q) -> "Scalar":
-        q = Fraction(q)
+        q = q if type(q) is int else _demote(Fraction(q))
         return cls._make({(): q} if q else {}, _ONE_SUM)
 
     @classmethod
@@ -252,7 +264,7 @@ class Scalar:
 
     @classmethod
     def param(cls, name: str) -> "Scalar":
-        return cls._make({((("p", name), 1),): _ONE}, _ONE_SUM)
+        return cls._make({((("p", name), 1),): 1}, _ONE_SUM)
 
     @classmethod
     def gamma(cls, arg) -> "Scalar":
@@ -263,7 +275,7 @@ class Scalar:
             return cls.from_fraction(math.factorial(int(arg) - 1))
         n = arg.numerator // arg.denominator
         f = arg - n
-        poch = math.prod((f + i for i in range(n)), start=_ONE)
+        poch = _demote(math.prod((f + i for i in range(n)), start=Fraction(1)))
         return cls._make({((("g", f), 1),): poch}, _ONE_SUM)
 
     @classmethod
@@ -292,7 +304,7 @@ class Scalar:
         if not self.num:
             return _ZERO
         if len(self.num) == 1 and self.num[0][0] == ():
-            return self.num[0][1]
+            return Fraction(self.num[0][1])
         return None
 
     def free_params(self) -> frozenset[str]:
@@ -319,6 +331,10 @@ class Scalar:
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         o = self._coerce(other)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
         if self.den == o.den:
             return Scalar._make(_sum_add(self.num, o.num), self.den)
         n = _sum_add(_sum_mul(self.num, o.den), _sum_mul(o.num, self.den).items())
@@ -338,6 +354,12 @@ class Scalar:
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         o = self._coerce(other)
+        if not self.num or not o.num:
+            return _ZERO_SCALAR
+        if self.den is _ONE_SUM and self.num == _ONE_SUM:
+            return o
+        if o.den is _ONE_SUM and o.num == _ONE_SUM:
+            return self
         den = _ONE_SUM if self.den is o.den is _ONE_SUM else _sum_mul(self.den, o.den)
         return Scalar._make(_sum_mul(self.num, o.num), den)
 
@@ -394,9 +416,15 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # agree with __eq__, which accepts int and Fraction
-        q = self.as_fraction()
-        return hash((self.num, self.den)) if q is None else hash(q)
+        # agree with __eq__, which accepts int and Fraction: a constant
+        # hashes like its coefficient, and an int like the equal Fraction
+        num = self.num
+        if self.den == _ONE_SUM:
+            if not num:
+                return 0
+            if len(num) == 1 and not num[0][0]:
+                return hash(num[0][1])
+        return hash((num, self.den))
 
     # -- numerics ----------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -146,10 +147,13 @@ def test_delay_coefficients_golden(capsys, problems_dir):
 
 def test_stdout_matches_golden_digests(capsys, problems_dir):
     """stdout sha256 and exit code of `coeffs --format json` and `residual`
-    on every shipped problem at K = 8 and six alphas.
+    on every shipped problem at K = 8 and six alphas, plus the numeric
+    output: `table --exact --format csv` on kolmogorov and burgers-delay
+    (alpha 1, K = 16), a klein-gordon `table` with bound parameters, and
+    `eval` on kolmogorov at K = 200.
 
-    The digests in tests/data/golden_stdout.json pin the exact coefficients
-    and verdicts byte for byte. Only a change that means to alter stdout may
+    The digests in tests/data/golden_stdout.json pin the exact coefficients,
+    verdicts and printed numbers byte for byte. Only a change that means to alter stdout may
     regenerate them: rerun each case's argv and store the new sha256 and exit
     code, and say in the change what output changed and why.
     """
@@ -161,7 +165,7 @@ def test_stdout_matches_golden_digests(capsys, problems_dir):
         digest = hashlib.sha256(out.encode()).hexdigest()
         if (code, digest) != (case["exit"], case["sha256"]):
             wrong.append(" ".join(case["argv"]))
-    assert len(cases) == 36
+    assert len(cases) == 40
     assert not wrong, wrong
 
 
@@ -203,6 +207,20 @@ def test_exit_2_usage_and_parse(capsys, problems_dir, tmp_path, malformed_dir):
     code, _, err = run(capsys, "coeffs", _fx(problems_dir, "kolmogorov.frac"),
                        "--alpha", "zero")
     assert code == 2
+
+
+def test_oversized_grid_is_2_before_expansion(capsys, problems_dir):
+    # 10^12 + 1 x values: rejected from the exact count, never enumerated
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "table", _fx(problems_dir, "kolmogorov.frac"),
+                         "--grid", "x=0:1:1e-12 t=0")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "error: grid has 1000000000001 points" in err
+    # the limit is on x values times t values
+    code, _, err = run(capsys, "table", _fx(problems_dir, "kolmogorov.frac"),
+                       "--grid", "x=0:1:0.001 t=0:1:0.0001")
+    assert code == 2 and "grid has 10011001 points" in err
 
 
 def test_exit_3_solver_rejection(capsys, problems_dir, tmp_path):

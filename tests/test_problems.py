@@ -145,3 +145,61 @@ def test_exact_solution_params_and_source():
     # round trip through the stored source
     again = parse_exact(ex.to_source())
     assert again == ex
+
+
+_WALK_FUNCS = {"exp": math.exp, "sinh": math.sinh, "cosh": math.cosh, "sqrt": math.sqrt}
+
+
+def _tree_walk(node, x, t, params):
+    """Reference: evaluate an exact-solution node tree by plain recursion."""
+    tag = node[0]
+    if tag == "num":
+        return float(node[1])
+    if tag == "x":
+        return x
+    if tag == "t":
+        return t
+    if tag == "param":
+        return params[node[1]]
+    if tag == "neg":
+        return -_tree_walk(node[1], x, t, params)
+    if tag == "call":
+        return _WALK_FUNCS[node[1]](_tree_walk(node[2], x, t, params))
+    a = _tree_walk(node[1], x, t, params)
+    b = _tree_walk(node[2], x, t, params)
+    return {"add": lambda: a + b, "sub": lambda: a - b, "mul": lambda: a * b,
+            "div": lambda: a / b, "pow": lambda: a ** b}[tag]()
+
+
+def test_compiled_reference_matches_tree_walk(problems_dir):
+    from fracseries.dsl import parse_exact, parse_problem_file
+
+    refs = []
+    for path in sorted(problems_dir.glob("*.frac")):
+        prob = parse_problem_file(str(path))
+        if prob.exact is not None:
+            refs.append((prob.exact, prob.param_floats()))
+    assert len(refs) == 2  # kolmogorov and burgers-delay
+    # every node kind, with parameters and a rational literal
+    refs.append((parse_exact("-a*sinh(x)/cosh(t/3) - sqrt(x + 2)^b + exp(-t)*(x - 7/5)"),
+                 {"a": 1.25, "b": 0.5}))
+    for ex, params in refs:
+        for xv in (-1.0, 0.0, 0.3, 1.0, 2.5):
+            for tv in (0.0, 0.125, 1.0, 7.5):
+                want = _tree_walk(ex.node, xv, tv, params)
+                assert ex.eval(xv, tv, params).hex() == want.hex()
+    # an overflowing point of a shipped reference fails both ways
+    for ex, params in refs[:2]:
+        with pytest.raises(OverflowError):
+            _tree_walk(ex.node, 0.5, 1000.0, params)
+        with pytest.raises(EvalError, match="reference evaluation failed at x=0.5, t=1000.0"):
+            ex.eval(0.5, 1000.0, params)
+    # an unbound parameter keeps its message; a non-finite value is an error
+    with pytest.raises(EvalError, match="parameter 'b' has no value"):
+        refs[-1][0].eval(0.5, 1.0, {"a": 1.0})
+    with pytest.raises(EvalError, match="produced inf"):
+        parse_exact("exp(700)*exp(700)*x").eval(1.0, 0.0, {})
+    # a literal outside the double range fails at evaluation, not at parse
+    huge = parse_exact("1" + "0" * 400 + "*x")
+    with pytest.raises(EvalError, match="reference evaluation failed"):
+        huge.eval(1.0, 0.0, {})

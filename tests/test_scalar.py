@@ -28,12 +28,25 @@ def _random_scalar(rng, depth=2):
     return Scalar.rational_power(2, Fraction(rng.choice([1, -1]), 2))
 
 
+def _assert_coeff_types(*scalars):
+    """Every monomial coefficient is an int when integral, else a Fraction."""
+    for s in scalars:
+        for sig, c in s.num + s.den:
+            if type(c) is not int:
+                assert type(c) is Fraction and c.denominator != 1, (s, sig, c)
+
+
 def test_ring_axioms_random():
     rng = random.Random(101)
+    a_param = Scalar.param("a")
+    two_mono = (a_param + 1) / (a_param - 1)
+    assert len(two_mono.den) == 2
+    _assert_coeff_types(two_mono, two_mono * two_mono, two_mono ** -2, 1 / two_mono)
     for _ in range(120):
         a = _random_scalar(rng)
         b = _random_scalar(rng)
         c = _random_scalar(rng)
+        _assert_coeff_types(a, b, c, a + b, a * b, a - b, -a, a * 0, a * 1)
         assert ((a + b) + c).same_value(a + (b + c))
         assert ((a * b) * c).same_value(a * (b * c))
         assert (a * (b + c)).same_value(a * b + a * c)
@@ -42,6 +55,9 @@ def test_ring_axioms_random():
         assert (a - a).is_zero()
         assert (a * 0).is_zero()
         assert (a * 1).same_value(a)
+        if not b.is_zero():
+            _assert_coeff_types(a / b, b ** -1, b ** -3, a / (b + two_mono))
+            assert ((a / b) * b).same_value(a)
 
 
 def test_field_ops():
@@ -168,7 +184,7 @@ def test_unbound_parameter_is_an_error():
         Scalar.param("zeta").eval({})
 
 
-def test_structural_identity_is_canonical(delay_problem):
+def test_structural_identity_is_canonical(delay_problem, diffusion_problem):
     # equal values built along different routes compare equal structurally
     a = Scalar.param("a")
     x = (a + 1) * (a + 1)
@@ -189,6 +205,11 @@ def test_structural_identity_is_canonical(delay_problem):
     assert {3: "x"}.get(three) == "x"
     assert len({three, 3}) == 1
     assert hash(Scalar.from_fraction(Fraction(2, 7))) == hash(Fraction(2, 7))
+    # the coefficient of a rational Scalar is an int when integral, but the
+    # exact value is always handed out as a Fraction
+    assert type(three.num[0][1]) is int
+    assert type(three.as_fraction()) is Fraction
+    assert type(Scalar.zero().as_fraction()) is Fraction
     # integral exponents are stored as int, prime-atom exponents as a
     # Fraction in (0, 1), in every Scalar a solve and its residual check build
     p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
@@ -206,6 +227,13 @@ def test_structural_identity_is_canonical(delay_problem):
             assert type(e) is Fraction and 0 < e < 1, (atom, e)
         elif e.denominator == 1:
             assert type(e) is int, (atom, e)
+    # monomial coefficients likewise: int when integral, Fraction otherwise,
+    # here and in kolmogorov at K = 20 (integers only, binomial weights)
+    _assert_coeff_types(*scalars)
+    kol = solve(diffusion_problem, 20)
+    kol_scalars = [s for e in kol.coeffs for mu, poly in e.terms for s in (mu, *poly)]
+    assert any(c == 1 for s in kol_scalars for _, c in s.num)
+    _assert_coeff_types(*kol_scalars)
 
 
 def test_sources_are_stable():
