@@ -19,6 +19,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from fractions import Fraction
@@ -95,6 +96,8 @@ def _parse_grid(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
         axes[name] = _parse_range(rng, name)
     if len(axes) != 2:
         raise _Exit(2, "grid must specify both x=a:b:step and t=a:b:step")
+    if axes["t"][0] < 0:
+        raise _Exit(2, f"t values must be >= 0 in '{spec}'")
     points = axes["x"][2] * axes["t"][2]
     if points > _MAX_GRID_POINTS:
         raise _Exit(2, f"grid has {points} points, more than {_MAX_GRID_POINTS}")
@@ -105,19 +108,11 @@ def _parse_grid(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _override_alpha(prob: Problem, text: str) -> Problem:
-    import dataclasses
-
-    from .series import FracSeries
-
     try:
         a = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _Exit(2, f"--alpha: '{text}' is not a rational number")
-    rhs = prob.rhs
-    if rhs.forcing is not None:
-        forcing = FracSeries(a, rhs.forcing.trunc, dict(rhs.forcing.coeffs))
-        rhs = dataclasses.replace(rhs, forcing=forcing)
-    return dataclasses.replace(prob, alpha=a, rhs=rhs)
+    return dataclasses.replace(prob, alpha=a)
 
 
 # -- staged execution -------------------------------------------------------------
@@ -127,8 +122,6 @@ def _load_stage(args) -> tuple[Problem, int]:
         prob = parse_problem_file(args.file)
         if getattr(args, "alpha", None):
             prob = _override_alpha(prob, args.alpha)
-    except _Exit:
-        raise
     except (ParseError, ProblemError, OSError, UnicodeDecodeError) as exc:
         raise _Exit(2, str(exc))
     order = args.order if args.order is not None else _DEFAULT_ORDER
@@ -181,11 +174,11 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_residual(args) -> int:
     prob, order = _load_stage(args)
+    k = args.corrupt_order
+    if k is not None and not (0 <= k <= order):
+        raise _Exit(2, f"--corrupt-order {k} outside 0..{order}")
     sol = _solve_stage(prob, order)
-    if args.corrupt_order is not None:
-        k = args.corrupt_order
-        if not (0 <= k <= order):
-            raise _Exit(2, f"--corrupt-order {k} outside 0..{order}")
+    if k is not None:
         sol = sol.replace_coeff(k, sol.coeff(k) + Expr.one())
         print(f"[corrupted coefficient {k}]", file=sys.stderr)
     try:
@@ -223,6 +216,8 @@ def _cmd_table(args) -> int:
 def _cmd_eval(args) -> int:
     prob, order = _load_stage(args)
     params = _parse_params(args.param)
+    if args.t < 0:
+        raise _Exit(2, "t must be >= 0")
     sol = _solve_stage(prob, order)
     try:
         v = eval_solution(sol, args.x, args.t, params=params)

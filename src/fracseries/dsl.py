@@ -34,7 +34,6 @@ from .errors import ParseError, ProblemError, ScalarError
 from .expr import Expr, ExpTime, PolyTime, TimeCoef, UNIT_TIME, UnitTime
 from .problems import ExactSolution, Problem, RhsFactor, RhsOperator, RhsTerm
 from .scalar import Scalar
-from .series import FracSeries
 
 _FUNCS_X = ("exp", "sinh", "cosh", "sqrt")
 _FUNCS_RHS = ("Dx", "exptime", "polytime")
@@ -848,17 +847,12 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
                 seen[("ic", j)], 1,
             )
 
-    fseries = None
-    live = {k: e for k, e in forcing.items() if not e.is_zero()}
-    if live:
-        fseries = FracSeries(alpha, max(live), live)
-
     try:
         return Problem(
             name=name,
             m=order,
             alpha=alpha,
-            rhs=RhsOperator(terms=rhs_terms, forcing=fseries),
+            rhs=RhsOperator(terms=rhs_terms, forcing=tuple(forcing.items())),
             ics=tuple(ics[j] for j in range(order)),
             params=params,
             exact=exact,
@@ -943,9 +937,8 @@ def problem_to_source(p: Problem) -> str:
     for j, ic in enumerate(p.ics):
         out.append(f"ic{j} = {ic.to_source()}")
     out.append(f"rhs = {rhs_to_source(p.rhs)}")
-    if p.rhs.forcing is not None:
-        for k, e in p.rhs.forcing.coeffs:
-            out.append(f"forcing {k} = {e.to_source()}")
+    for k, e in p.rhs.forcing:
+        out.append(f"forcing {k} = {e.to_source()}")
     if p.exact is not None:
         out.append(f"exact = {p.exact.to_source()}")
     return "\n".join(out) + "\n"

@@ -30,8 +30,6 @@ from typing import Mapping, Union
 from .errors import EvalError, ExprError
 from .scalar import Scalar, ScalarLike
 
-_ONE = Fraction(1)
-
 ExprLike = Union["Expr", Scalar, int, Fraction]
 
 

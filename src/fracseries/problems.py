@@ -5,7 +5,8 @@ right-hand side is a sum of terms
 
     coeff(x) * tcoef(t) * prod_j (D_x^(n_j) psi)(xscale_j * x, tscale_j * t)^(power_j)
 
-plus an optional forcing series already living on the t^(k*alpha) grid.
+plus forcing coefficients e_k(x) on the grid t^(k*alpha)/Gamma(1+k*alpha) of the
+problem's own alpha, so dataclasses.replace(problem, alpha=a) re-derives any problem.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable, Mapping, Optional
 from .errors import AlphaOutOfRange, EvalError, ProblemError
 from .expr import Expr, TimeCoef, UNIT_TIME
 from .scalar import Scalar
-from .series import FracSeries
 
 _RESERVED_NAMES = frozenset({"x", "t", "psi"})
 
@@ -62,8 +62,17 @@ class RhsTerm:
 
 @dataclass(frozen=True)
 class RhsOperator:
+    """Product terms plus forcing (k, e_k) pairs, k ascending, zero e_k dropped."""
+
     terms: tuple[RhsTerm, ...] = ()
-    forcing: FracSeries = None  # type: ignore[assignment]
+    forcing: tuple[tuple[int, Expr], ...] = ()
+
+    def __post_init__(self):
+        live = dict(self.forcing)
+        if len(live) != len(self.forcing) or min(live, default=0) < 0:
+            raise ProblemError("forcing indices must be distinct and >= 0")
+        pairs = tuple((k, live[k]) for k in sorted(live) if not live[k].is_zero())
+        object.__setattr__(self, "forcing", pairs)
 
     def is_linear(self) -> bool:
         """True when every term is a single first-power factor.
@@ -80,9 +89,8 @@ class RhsOperator:
         for t in self.terms:
             names |= t.coeff.free_params()
             names |= t.tcoef.free_params()
-        if self.forcing is not None:
-            for _, e in self.forcing.coeffs:
-                names |= e.free_params()
+        for _, e in self.forcing:
+            names |= e.free_params()
         return names
 
 
@@ -120,8 +128,6 @@ class Problem:
             raise ProblemError(
                 "parameter names collide with built-ins: " + ", ".join(sorted(bad))
             )
-        if self.rhs.forcing is not None and self.rhs.forcing.alpha != self.alpha:
-            raise ProblemError("forcing series order does not match problem alpha")
 
     def param_floats(self, overrides: Optional[Mapping[str, float]] = None) -> dict[str, float]:
         """Numeric parameter bindings: file defaults overlaid by overrides."""

@@ -112,8 +112,7 @@ def apply_rhs(rhs: RhsOperator, series: FracSeries, kmax: int) -> FracSeries:
         else:
             acc = acc.expr_mul(term.coeff)
         total = total.add(_apply_tcoef(acc, term.tcoef, kmax))
-    if rhs.forcing is not None:
-        total = total.add(rhs.forcing.truncate(kmax))
+    total = total.add(FracSeries(alpha, kmax, dict(rhs.forcing)))
     return total.truncate(kmax)
 
 
@@ -210,9 +209,9 @@ def solve(problem: Problem, order: int) -> SeriesSolution:
 
         return _Stream(coeff)
 
+    forcing = dict(problem.rhs.forcing)
     streams = [_term_stream(t, image, alpha) for t in problem.rhs.terms]
-    if problem.rhs.forcing is not None:
-        streams.append(_Stream(problem.rhs.forcing.coeff))
+    streams.append(_Stream(lambda j: forcing.get(j, Expr.zero())))
     for j in range(order + 1 - problem.m):
         new = Expr.zero()
         for s in streams:

@@ -1,5 +1,6 @@
 """Command line: exit codes, deterministic stdout, stream separation."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +20,9 @@ from fracseries.evaluate import EvalGrid, error_table, eval_solution, export
 from fracseries.solver import solve
 
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden_stdout.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden_stdout.json"
+FORCED_GOLDEN = DATA / "golden_forced.json"
 
 
 def run(capsys, *argv):
@@ -158,15 +162,39 @@ def test_stdout_matches_golden_digests(capsys, problems_dir):
     code, and say in the change what output changed and why.
     """
     cases = json.loads(GOLDEN.read_text())
+    assert len(cases) == 40
+    assert not _golden_mismatches(capsys, cases, problems_dir)
+
+
+def _golden_mismatches(capsys, cases, folder):
+    """argv of each case whose stdout digest or exit code differs."""
     wrong = []
     for case in cases:
-        argv = [_fx(problems_dir, a) if a.endswith(".frac") else a for a in case["argv"]]
+        argv = [_fx(folder, a) if a.endswith(".frac") else a for a in case["argv"]]
         code, out, _ = run(capsys, *argv)
         digest = hashlib.sha256(out.encode()).hexdigest()
         if (code, digest) != (case["exit"], case["sha256"]):
             wrong.append(" ".join(case["argv"]))
-    assert len(cases) == 40
-    assert not wrong, wrong
+    return wrong
+
+
+def test_forced_problem_matches_golden_digests(capsys):
+    """`coeffs --format json` and `residual` on tests/data/forced.frac at
+    K = 6, at the file's alpha and at --alpha 1/3 and 1: the forcing
+    coefficients keep their grid index when alpha is re-derived."""
+    cases = json.loads(FORCED_GOLDEN.read_text())
+    assert len(cases) == 6
+    assert not _golden_mismatches(capsys, cases, DATA)
+
+
+def test_replace_alpha_matches_cli_override(capsys):
+    # dataclasses.replace re-derives a forced problem as --alpha does
+    prob = parse_problem_file(DATA / "forced.frac")
+    sol = solve(dataclasses.replace(prob, alpha=Fraction(1, 3)), 6)
+    code, out, _ = run(capsys, "coeffs", str(DATA / "forced.frac"), "-K", "6",
+                       "--alpha", "1/3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [c.to_source() for c in sol.coeffs]
 
 
 def test_stdout_is_deterministic(capsys, problems_dir):
@@ -314,6 +342,20 @@ def test_demo_runs(demo):
 
 
 def test_corrupt_order_out_of_range(capsys, problems_dir):
-    code, _, err = run(capsys, "residual", _fx(problems_dir, "burgers_delay.frac"),
-                       "-K", "4", "--corrupt-order", "9")
-    assert code == 2 and "outside" in err
+    # rejected before the solve: no output and no run-info line
+    code, out, err = run(capsys, "residual", _fx(problems_dir, "burgers_delay.frac"),
+                         "-K", "4", "--corrupt-order", "9")
+    assert code == 2 and out == ""
+    assert err == "error: --corrupt-order 9 outside 0..4\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("eval", "-x", "0", "-t", "-1"), "t must be >= 0", id="eval"),
+    pytest.param(("table", "--grid", "x=0:1:0.5 t=-1:0:0.5"), "t values must be >= 0",
+                 id="table"),
+])
+def test_negative_time_is_2_before_solving(capsys, problems_dir, argv, message):
+    cmd, *rest = argv
+    code, out, err = run(capsys, cmd, _fx(problems_dir, "kolmogorov.frac"), *rest)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1

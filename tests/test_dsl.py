@@ -163,12 +163,9 @@ rhs = Dx(psi, 2)
 forcing 0 = x + 1
 forcing 2 = x^2
 """
+    # plain grid coefficients: the order alpha lives on the problem alone
     prob = parse_problem(text)
-    f = prob.rhs.forcing
-    assert f is not None and f.alpha == Fraction(1, 2)
-    assert (f.coeff(0) - (Expr.x() + 1)).is_zero()
-    assert f.coeff(1).is_zero()
-    assert (f.coeff(2) - Expr.poly([0, 0, 1])).is_zero()
+    assert prob.rhs.forcing == ((0, Expr.x() + 1), (2, Expr.poly([0, 0, 1])))
 
 
 def test_pure_x_rhs_terms_become_sources():
@@ -177,6 +174,33 @@ def test_pure_x_rhs_terms_become_sources():
     assert kinds == [0, 1]
     src = [t for t in rhs.terms if not t.factors][0]
     assert (src.coeff - Expr.poly([0, 0, 1])).is_zero()
+
+
+@pytest.mark.parametrize("a, b, alpha", [
+    ("(x*psi)@(2*x, t)", "2*x*psi@(2*x,t)", "1/2"),
+    ("(exp(x)*psi)@(2*x,t)", "exp(2*x)*psi@(2*x,t)", "1/2"),
+    ("psi@(3*x/2, t)", "psi@(3/2*x, t)", "1/2"),
+    ("exptime(1)@(x,2*t)*psi", "exptime(2)*psi", "1"),
+    ("polytime(0,1)@(x,t/2)*psi", "polytime(0,1/2)*psi", "1"),
+    ("psi/nu", "(1/nu)*psi", "1/2"),
+    ("Dx(x*psi)", "psi + x*Dx(psi)", "1/2"),
+    ("Dx(exp(2*x)*psi)", "2*exp(2*x)*psi + exp(2*x)*Dx(psi)", "1/2"),
+    ("polytime(1,1)*polytime(0,1)*psi", "polytime(0,1,1)*psi", "1"),
+    ("polytime(0,0)*psi", "0", "1"),
+    ("-psi", "(-1)*psi", "1/2"),
+    ("Dx(psi,0)", "psi", "1/2"),
+    ("psi^0", "1", "1/2"),
+])
+def test_lowering_forms_solve_alike(a, b, alpha):
+    # each left side takes a lowering path (a scaled coefficient, a scaled
+    # time coefficient, division, Dx of a product, polytime products, a zero
+    # polytime, negation, a zero-order Dx or power) that the right side spells out
+    from fracseries.solver import solve
+
+    def problem(rhs):
+        return parse_problem(f"param nu\nalpha = {alpha}\norder = 1\nic0 = x + 1\nrhs = {rhs}\n")
+
+    assert solve(problem(a), 5).coeffs == solve(problem(b), 5).coeffs
 
 
 def test_grouping_collects_repeated_shapes():

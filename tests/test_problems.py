@@ -15,7 +15,6 @@ from fracseries.problems import (
     RhsTerm,
 )
 from fracseries.scalar import Scalar
-from fracseries.series import FracSeries
 
 
 def _identity_rhs():
@@ -62,11 +61,12 @@ def test_reserved_parameter_names():
             )
 
 
-def test_forcing_alpha_must_match():
-    forcing = FracSeries(Fraction(1, 3), 1, {0: Expr.one()})
-    rhs = RhsOperator(terms=(), forcing=forcing)
-    with pytest.raises(ProblemError):
-        Problem(name="p", m=1, alpha=Fraction(1, 2), rhs=rhs, ics=(Expr.x(),))
+def test_forcing_indices_checked_and_canonical():
+    for bad in (((-1, Expr.one()),), ((2, Expr.one()), (2, Expr.x()))):
+        with pytest.raises(ProblemError):
+            RhsOperator(forcing=bad)
+    rhs = RhsOperator(forcing=((3, Expr.x()), (1, Expr.zero()), (0, Expr.one())))
+    assert rhs.forcing == ((0, Expr.one()), (3, Expr.x()))
 
 
 def test_is_linear():
@@ -89,7 +89,7 @@ def test_is_linear():
     assert not src.is_linear()
     forced = RhsOperator(
         terms=(RhsTerm(coeff=Expr.one(), factors=(RhsFactor(),)),),
-        forcing=FracSeries(Fraction(1, 2), 0, {0: Expr.x()}),
+        forcing=((0, Expr.x()),),
     )
     assert forced.is_linear()
 

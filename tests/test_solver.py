@@ -24,7 +24,7 @@ from fracseries.solver import (
 )
 
 
-def _problem(alpha, m, ics, terms, forcing=None, params=None, name="p"):
+def _problem(alpha, m, ics, terms, forcing=(), params=None, name="p"):
     rhs = RhsOperator(terms=tuple(terms), forcing=forcing)
     return Problem(
         name=name, m=m, alpha=Fraction(alpha), rhs=rhs, ics=tuple(ics),
@@ -58,8 +58,7 @@ def _poly_time_problem():
 
 def _forcing_problem():
     # u' = u + 1, u(0) = 0 gives u = exp(t) - 1: coefficients 0, 1, 1, ...
-    f = FracSeries(Fraction(1), 0, {0: Expr.one()})
-    return _problem(1, 1, [Expr.zero()], [_term()], forcing=f)
+    return _problem(1, 1, [Expr.zero()], [_term()], forcing=((0, Expr.one()),))
 
 
 def _source_term_problem():
@@ -133,11 +132,12 @@ def test_apply_truncates_at_kmax():
 
 
 def test_apply_forcing_only():
-    f = FracSeries(Fraction(1, 2), 1, {0: Expr.one(), 1: Expr.x()})
-    rhs = RhsOperator(terms=(), forcing=f)
+    # the forcing coefficients are placed on the grid of the series' alpha,
+    # and those above kmax are cut
+    rhs = RhsOperator(terms=(), forcing=((0, Expr.one()), (1, Expr.x()), (2, Expr.x())))
     s = FracSeries(Fraction(1, 2), 0, {0: Expr.x()})
     img = apply_rhs(rhs, s, 1)
-    assert img == f
+    assert img == FracSeries(Fraction(1, 2), 1, {0: Expr.one(), 1: Expr.x()})
 
 
 # -- solve: hand oracles -----------------------------------------------------------
