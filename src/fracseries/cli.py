@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from fractions import Fraction
@@ -66,6 +67,8 @@ def _parse_params(pairs: Optional[Sequence[str]]) -> dict[str, float]:
             out[name] = float(val)
         except ValueError:
             raise _Exit(2, f"--param {name}: '{val}' is not a number")
+        if not math.isfinite(out[name]):
+            raise _Exit(2, f"--param {name}: '{val}' is not finite")
     return out
 
 
@@ -216,6 +219,9 @@ def _cmd_table(args) -> int:
 def _cmd_eval(args) -> int:
     prob, order = _load_stage(args)
     params = _parse_params(args.param)
+    for flag, v in (("x", args.x), ("t", args.t)):
+        if not math.isfinite(v):
+            raise _Exit(2, f"{flag} must be finite, got {v}")
     if args.t < 0:
         raise _Exit(2, "t must be >= 0")
     sol = _solve_stage(prob, order)

@@ -199,6 +199,9 @@ class ExactSolution:
     def __repr__(self):
         return f"ExactSolution({self.source!r})"
 
+    def __reduce__(self):  # the compiled closures do not pickle; rebuild them
+        return ExactSolution, (self.node, self.source)
+
 
 def _xt_compile(node: tuple) -> Callable[[float, float, Mapping[str, float]], float]:
     """The node as a function of (x, t, params); operands are evaluated left

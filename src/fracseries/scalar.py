@@ -19,7 +19,11 @@ normalized to leading coefficient one with common monomial content
 cancelled. The zero Scalar is the unique empty numerator. Integral
 exponents and integral coefficients are ints, everything else a Fraction;
 an int equals and hashes like the Fraction of its value, so this changes
-no comparison or printed form. Every division goes through Fraction, so
+no comparison or printed form. Every non-integral exponent and Gamma
+argument is the one shared instance of its value (a private Fraction
+subclass that stores its hash), so signatures hash and compare without
+entering Fraction.__hash__ or Fraction.__eq__, and the signature half of
+a monomial product is memoized. Every division goes through Fraction, so
 no coefficient is ever a float. Denominators equal to 1 share one
 unit-sum tuple, and sums and products of such Scalars skip the quotient
 normalization. Adding zero, multiplying by zero and multiplying by one
@@ -33,6 +37,7 @@ so quotients reduce only up to monomial content.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -47,7 +52,7 @@ from .gammafn import gamma_real
 Atom = tuple
 # A signature is a sorted tuple of (atom, exponent) pairs with exponents != 0;
 # an integral exponent is an int (hashed far faster than, and equal to, the
-# Fraction of the same value), a non-integral one a Fraction.
+# Fraction of the same value), a non-integral one an interned _Q.
 Sig = tuple
 # A monomial coefficient: an int when integral, else a Fraction (see _demote).
 Coeff = Union[int, Fraction]
@@ -81,6 +86,65 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+class _Q(Fraction):
+    """The one shared instance of a non-integral rational in a signature.
+
+    Made only by _intern, so two _Q are equal exactly when they are
+    the same object. The hash is computed once; against another _Q,
+    equality is identity and order one integer cross-multiplication, and
+    against any other number both fall back to Fraction. A _Q therefore
+    compares, hashes, orders and prints like the Fraction of its value,
+    while tuple comparison and dict lookup on signatures short-circuit on
+    identity. Fraction arithmetic on a _Q returns a plain Fraction.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is _Q:
+            return self is other
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if type(other) is _Q:
+            return self._numerator * other._denominator < other._numerator * self._denominator
+        return Fraction.__lt__(self, other)
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    # pickling re-interns; copies are the instance itself
+    def __reduce__(self):
+        return _intern, (Fraction(self),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+# Process-wide, as identity must be, and never pruned: it holds one entry per
+# distinct Gamma argument or exponent (27 over the whole Tier-1 suite).
+_INTERNED: dict[tuple[int, int], _Q] = {}
+
+
+def _intern(q: Fraction) -> _Q:
+    """The shared _Q of the non-integral rational q, made on first use."""
+    if type(q) is _Q:
+        return q
+    key = (q.numerator, q.denominator)
+    shared = _INTERNED.get(key)
+    if shared is None:
+        shared = Fraction.__new__(_Q, *key)
+        shared._hash = Fraction.__hash__(shared)
+        shared = _INTERNED.setdefault(key, shared)
+    return shared
+
+
 def _demote(q: Coeff) -> Coeff:
     """An integral Fraction as its int numerator; anything else unchanged."""
     return q.numerator if q.denominator == 1 else q
@@ -101,20 +165,32 @@ def _normalize_exponents(exps: dict[Atom, int | Fraction]) -> tuple[Sig, Coeff]:
             if whole:
                 mult *= Fraction(atom[1]) ** whole
             if frac:
-                items.append((atom, frac))
+                items.append((atom, _intern(frac)))
         else:
-            items.append((atom, e if e.denominator != 1 else int(e)))
+            items.append((atom, _intern(e) if e.denominator != 1 else int(e)))
     items.sort()
     return tuple(items), _demote(mult)
+
+
+# Distinct signature pairs multiplied by solve plus residual_orders: at most
+# 425 per benchmark case (605 in one delay-sweep process), 11,319 for
+# burgers-delay at alpha 2/7, K = 12.
+_SIG_MUL_CACHE_SIZE = 16384
+
+
+@functools.lru_cache(maxsize=_SIG_MUL_CACHE_SIZE)
+def _sig_mul(sig_a: Sig, sig_b: Sig) -> tuple[Sig, Coeff]:
+    """The signature of a product of two monomials and its rational factor."""
+    exps: dict[Atom, int | Fraction] = dict(sig_a)
+    for atom, e in sig_b:
+        exps[atom] = exps.get(atom, 0) + e
+    return _normalize_exponents(exps)
 
 
 def _mono_mul(sig_a: Sig, ca: Coeff, sig_b: Sig, cb: Coeff) -> tuple[Sig, Coeff]:
     if not sig_a or not sig_b:  # a normalized signature times a constant
         return sig_a or sig_b, _demote(ca * cb)
-    exps: dict[Atom, int | Fraction] = dict(sig_a)
-    for atom, e in sig_b:
-        exps[atom] = exps.get(atom, 0) + e
-    sig, mult = _normalize_exponents(exps)
+    sig, mult = _sig_mul(sig_a, sig_b)
     return sig, _demote(ca * cb * mult)
 
 
@@ -276,7 +352,7 @@ class Scalar:
         n = arg.numerator // arg.denominator
         f = arg - n
         poch = _demote(math.prod((f + i for i in range(n)), start=Fraction(1)))
-        return cls._make({((("g", f), 1),): poch}, _ONE_SUM)
+        return cls._make({((("g", _intern(f)), 1),): poch}, _ONE_SUM)
 
     @classmethod
     def rational_power(cls, base, exp) -> "Scalar":

@@ -359,3 +359,29 @@ def test_negative_time_is_2_before_solving(capsys, problems_dir, argv, message):
     code, out, err = run(capsys, cmd, _fx(problems_dir, "kolmogorov.frac"), *rest)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+_KG_PARAMS = ("--param", "nu=1", "--param", "omega=1", "--param", "lambda=0.5")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("kolmogorov", "eval", "-x", "inf", "-t", "1"), "x must be finite, got inf",
+                 id="eval-x-inf"),
+    pytest.param(("kolmogorov", "eval", "-x", "0", "-t", "nan"), "t must be finite, got nan",
+                 id="eval-t-nan"),
+    pytest.param(("kolmogorov", "eval", "-x", "0", "-t", "inf"), "t must be finite, got inf",
+                 id="eval-t-inf"),
+    pytest.param(("klein_gordon", "eval", "-x", "0", "-t", "0.5", *_KG_PARAMS,
+                  "--param", "nu=nan"), "--param nu: 'nan' is not finite", id="eval-param-nan"),
+    pytest.param(("klein_gordon", "table", "--grid", "x=0:1:0.5 t=0:1:0.5", *_KG_PARAMS,
+                  "--param", "omega=inf"), "--param omega: 'inf' is not finite",
+                 id="table-param-inf"),
+    pytest.param(("kolmogorov", "table", "--grid", "x=0:1:0.5 t=0:1:0.5",
+                  "--param", "nu=-inf"), "--param nu: '-inf' is not finite",
+                 id="table-param-unused"),
+])
+def test_non_finite_flag_is_2_before_solving(capsys, problems_dir, argv, message):
+    name, cmd, *rest = argv
+    code, out, err = run(capsys, cmd, _fx(problems_dir, f"{name}.frac"), "-K", "4", *rest)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

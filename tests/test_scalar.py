@@ -1,14 +1,16 @@
 """Exact scalar ring: axioms, canonical forms, numeric agreement."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from fracseries.errors import EvalError, ScalarError
-from fracseries.scalar import Scalar
+from fracseries.scalar import _SIG_MUL_CACHE_SIZE, Scalar, _intern, _sig_mul
 from fracseries.solver import apply_rhs, residual_series, solve
 
 
@@ -34,6 +36,16 @@ def _assert_coeff_types(*scalars):
         for sig, c in s.num + s.den:
             if type(c) is not int:
                 assert type(c) is Fraction and c.denominator != 1, (s, sig, c)
+
+
+def _expr_scalars(exprs):
+    return [s for e in exprs for mu, poly in e.terms for s in (mu, *poly)]
+
+
+def _assert_interned_unit_ratio(q):
+    """q is a non-integral rational in (0, 1) and the shared instance of it."""
+    assert isinstance(q, Fraction) and q.denominator != 1 and 0 < q < 1, q
+    assert q is _intern(Fraction(q)), q
 
 
 def test_ring_axioms_random():
@@ -210,30 +222,78 @@ def test_structural_identity_is_canonical(delay_problem, diffusion_problem):
     assert type(three.num[0][1]) is int
     assert type(three.as_fraction()) is Fraction
     assert type(Scalar.zero().as_fraction()) is Fraction
-    # integral exponents are stored as int, prime-atom exponents as a
-    # Fraction in (0, 1), in every Scalar a solve and its residual check build
+    # integral exponents are stored as int; prime-atom exponents and Gamma
+    # arguments are the interned Fraction of a value in (0, 1), and any other
+    # non-integral exponent is interned too, in every Scalar a solve and its
+    # residual check build
     p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
     sol = solve(p, 6)
     exprs = list(sol.coeffs)
     for series in (residual_series(p, sol), apply_rhs(p.rhs, sol.series(), 5)):
         exprs += [e for _, e in series.coeffs]
-    scalars = [s for e in exprs for mu, poly in e.terms for s in (mu, *poly)]
+    scalars = _expr_scalars(exprs)
     exps = [(atom, e) for s in scalars for part in (s.num, s.den)
             for sig, _ in part for atom, e in sig]
     assert any(atom[0] == "g" for atom, _ in exps)
     assert any(atom[0] == "r" for atom, _ in exps)
     for atom, e in exps:
+        if atom[0] == "g":
+            _assert_interned_unit_ratio(atom[1])
         if atom[0] == "r":
-            assert type(e) is Fraction and 0 < e < 1, (atom, e)
+            _assert_interned_unit_ratio(e)
         elif e.denominator == 1:
             assert type(e) is int, (atom, e)
+        else:
+            assert e is _intern(Fraction(e)), (atom, e)
     # monomial coefficients likewise: int when integral, Fraction otherwise,
     # here and in kolmogorov at K = 20 (integers only, binomial weights)
     _assert_coeff_types(*scalars)
     kol = solve(diffusion_problem, 20)
-    kol_scalars = [s for e in kol.coeffs for mu, poly in e.terms for s in (mu, *poly)]
+    kol_scalars = _expr_scalars(kol.coeffs)
     assert any(c == 1 for s in kol_scalars for _, c in s.num)
     _assert_coeff_types(*kol_scalars)
+
+
+def _signature_rationals(scalars):
+    """Gamma arguments and non-integral exponents of the given Scalars."""
+    out = []
+    for s in scalars:
+        for part in (s.num, s.den):
+            for sig, _ in part:
+                for atom, e in sig:
+                    if atom[0] == "g":
+                        out.append(atom[1])
+                    if e.denominator != 1:
+                        out.append(e)
+    return out
+
+
+def test_pickle_and_copies_keep_structure_and_interning(delay_problem):
+    # a solution with its Exprs and Scalars, and a Scalar with Gamma and prime
+    # atoms, come back equal, hash alike and hold the shared rationals
+    p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
+    sol = solve(p, 6)
+    surd = Scalar.gamma(Fraction(2, 5)) * Scalar.rational_power(2, Fraction(-3, 5))
+    assert len(_signature_rationals(_expr_scalars(sol.coeffs))) > 100
+    for c_sol, c_surd in (pickle.loads(pickle.dumps((sol, surd))),
+                          (copy.copy(sol), copy.copy(surd)),
+                          copy.deepcopy((sol, surd))):
+        assert c_sol == sol and c_sol.coeffs == sol.coeffs and c_surd == surd
+        # the problem's compiled exact line comes back too
+        assert c_sol.problem.exact.eval(0.5, 0.25, {}) == sol.problem.exact.eval(0.5, 0.25, {})
+        assert hash(c_sol.coeffs) == hash(sol.coeffs) and hash(c_surd) == hash(surd)
+        rationals = _signature_rationals(_expr_scalars(c_sol.coeffs) + [c_surd])
+        for q in rationals:
+            assert q is _intern(Fraction(q)), q
+
+
+def test_signature_product_cache_is_bounded(delay_problem):
+    maxsize = _sig_mul.cache_info().maxsize
+    assert maxsize is not None and maxsize == _SIG_MUL_CACHE_SIZE
+    p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
+    warm = solve(p, 6).coeffs
+    _sig_mul.cache_clear()
+    assert solve(p, 6).coeffs == warm
 
 
 def test_sources_are_stable():
