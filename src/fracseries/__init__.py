@@ -32,7 +32,6 @@ from .expr import (
 )
 from .series import (
     FracSeries,
-    caputo_shift,
     gamma_factor,
 )
 from .problems import (
@@ -101,7 +100,6 @@ __all__ = [
     "UNIT_TIME",
     "UnitTime",
     "apply_rhs",
-    "caputo_shift",
     "error_table",
     "eval_solution",
     "export",

@@ -17,16 +17,16 @@ sinh, cosh, sqrt, and in the rhs also Dx(E[, n]), exptime(c),
 polytime(c0, c1, ...).
 
 The rhs is lowered to structured terms at parse time: products are
-flattened, Dx distributes over sums and products (each factor of a power
-counts separately, so Dx(psi^2, 2) becomes 2*psi*Dx(psi,2) + 2*Dx(psi)^2),
-and argument scalings compose multiplicatively.
+flattened, Dx distributes over sums, and argument scalings compose
+multiplicatively. Dx of a product stays one factor that holds the product
+(Dx(psi^2, 2) is a single factor of order 2 over psi^2), so the solver forms
+the product once and differentiates its coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -407,9 +407,10 @@ def _lower_exact(node: tuple, env: _Env):
 # -- lowering: right-hand sides --------------------------------------------------------
 #
 # Products are carried as (rational, units) with units one of
-#   ('f', n, xscale, tscale)  a single first-power unknown-function factor
-#   ('e', Expr)               a function of x
-#   ('t', TimeCoef, pos)      a time coefficient
+#   ('f', n, xscale, tscale, inner)  a first-power factor (D_x^n B)(xscale*x, tscale*t)
+#                                    with B = psi (inner None) or the RhsOperator inner
+#   ('e', Expr)                      a function of x
+#   ('t', TimeCoef, pos)             a time coefficient
 
 def _contains_special(node: tuple) -> bool:
     tag = node[0]
@@ -447,7 +448,7 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
                 "bare 't' is not allowed in the right-hand side; time enters"
                 " through exptime/polytime or @(...) scalings", *pos,
             )
-        return [(Fraction(1), [("f", 0, Fraction(1), Fraction(1))])]
+        return [(Fraction(1), [("f", 0, Fraction(1), Fraction(1), None)])]
     if tag == "neg":
         return [(-q, u) for q, u in _expand_rhs(node[2], env)]
     if tag == "add":
@@ -520,17 +521,14 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
                 n = int(f)
                 if n > _MAX_DX_ORDER:
                     raise ParseError(f"derivative order {n} out of range", *args[1][1])
-            out = []
-            for q, units in _expand_rhs(args[0], env):
-                out.extend(_dx_product(q, units, n, pos))
-            return out
+            return [p for q, units in _expand_rhs(args[0], env) for p in _dx_product(q, units, n)]
         raise _unsupported(fname, pos, "the right-hand side")
     raise _unsupported(tag, pos, "the right-hand side")
 
 
 def _scale_unit(u: tuple, xs: Fraction, ts: Fraction) -> tuple:
     if u[0] == "f":
-        return ("f", u[1], u[2] * xs, u[3] * ts)
+        return ("f", u[1], u[2] * xs, u[3] * ts, u[4])
     if u[0] == "e":
         return ("e", u[1].scale_x(xs))
     tc = u[1]
@@ -544,49 +542,29 @@ def _scale_unit(u: tuple, xs: Fraction, ts: Fraction) -> tuple:
     return ("t", PolyTime(scaled), u[2])
 
 
-def _dx_product(q: Fraction, units: list, n: int, pos) -> list:
-    """Distribute n x-derivatives over a product of units (Leibniz)."""
+def _dx_product(q: Fraction, units: list, n: int) -> list:
+    """n x-derivatives of one product, as at most one product.
+
+    Time units stay outside, being constant in x; two or more remaining
+    units become one factor that holds their product. Differentiating
+    (D^n0 B)(xs*x, ts*t) n times adds n to n0 and a factor xs^n.
+    """
     if n == 0:
         return [(q, units)]
-    if not units:
-        return []  # derivative of the constant 1
-    out: list = []
-
-    def spread(i: int, left: int, coef: Fraction, acc: list) -> None:
-        if i == len(units) - 1:
-            du = _dx_unit(units[i], left)
-            if du is None:
-                return
-            extra, u = du
-            out.append((q * coef * extra, acc + [u]))
-            if len(out) > _MAX_PRODUCTS:
-                raise ParseError("derivative expansion too large", *pos)
-            return
-        for k in range(left + 1):
-            du = _dx_unit(units[i], k)
-            if du is None:
-                continue
-            extra, u = du
-            # the binomials along one spread multiply to the multinomial coefficient
-            spread(i + 1, left - k, coef * comb(left, k), acc + [u])
-
-    spread(0, n, Fraction(1), [])
-    return out
-
-
-def _dx_unit(u: tuple, k: int):
-    """k-th x-derivative of one unit; None when it vanishes."""
-    if k == 0:
-        return Fraction(1), u
+    times = [u for u in units if u[0] == "t"]
+    rest = [u for u in units if u[0] != "t"]
+    if len(rest) > 1:
+        (term,) = _products_to_terms([(Fraction(1), rest)])
+        inner = RhsOperator(terms=(term,))
+        rest = [("f", 0, Fraction(1), Fraction(1), inner) if term.factors else ("e", term.coeff)]
+    if not rest:
+        return []  # the product is constant in x
+    u = rest[0]
     if u[0] == "f":
-        _, n0, xs, ts = u
-        return xs**k, ("f", n0 + k, xs, ts)
-    if u[0] == "e":
-        d = u[1].diff_x(k)
-        if d.is_zero():
-            return None
-        return Fraction(1), ("e", d)
-    return None  # time coefficients are constant in x
+        _, n0, xs, ts, inner = u
+        return [(q * xs**n, times + [("f", n0 + n, xs, ts, inner)])]
+    d = u[1].diff_x(n)
+    return [] if d.is_zero() else [(q, times + [("e", d)])]
 
 
 def _extract_scale(node: tuple, var: str) -> Fraction:
@@ -630,13 +608,12 @@ def _scale_walk(node: tuple, var: str) -> tuple[Fraction, int]:
     raise ParseError(f"scaling must be of the form c*{var} or {var}/c", *pos)
 
 
-def _products_to_terms(products: list, pos) -> tuple[RhsTerm, ...]:
+def _products_to_terms(products: list) -> tuple[RhsTerm, ...]:
     """Collect expanded products into canonical terms.
 
     Products sharing the same factor signature and time coefficient merge by
     adding their x-coefficients; term order is first appearance.
     """
-    order: list = []
     bucket: dict = {}
     for q, units in products:
         coeff = Expr.const(q)
@@ -646,29 +623,27 @@ def _products_to_terms(products: list, pos) -> tuple[RhsTerm, ...]:
             if u[0] == "e":
                 coeff = coeff * u[1]
             elif u[0] == "f":
-                key = (u[1], u[2], u[3])
+                key = u[1:]
                 factor_count[key] = factor_count.get(key, 0) + 1
             else:
                 tcoef = _merge_tcoef(tcoef, u[1], u[2])
         if isinstance(tcoef, PolyTime) and len(tcoef.coeffs) == 1:
             coeff = coeff.scalar_mul(tcoef.coeffs[0])
             tcoef = UNIT_TIME
+        # None and a nested operator do not order; their sources do
         factors = tuple(
-            RhsFactor(n=n, xscale=xs, tscale=ts, power=p)
-            for (n, xs, ts), p in sorted(factor_count.items())
+            RhsFactor(n=n, xscale=xs, tscale=ts, power=p, inner=inner)
+            for (n, xs, ts, inner), p in sorted(
+                factor_count.items(),
+                key=lambda kv: (*kv[0][:3], "" if kv[0][3] is None else rhs_to_source(kv[0][3])),
+            )
         )
         key = (tcoef, factors)
-        if key in bucket:
-            bucket[key] = bucket[key] + coeff
-        else:
-            bucket[key] = coeff
-            order.append(key)
-    terms = []
-    for key in order:
-        coeff = bucket[key]
-        if not coeff.is_zero():
-            terms.append(RhsTerm(coeff=coeff, tcoef=key[0], factors=key[1]))
-    return tuple(terms)
+        bucket[key] = bucket[key] + coeff if key in bucket else coeff
+    return tuple(
+        RhsTerm(coeff=coeff, tcoef=tcoef, factors=factors)
+        for (tcoef, factors), coeff in bucket.items() if not coeff.is_zero()
+    )
 
 
 def _merge_tcoef(a: TimeCoef, b: TimeCoef, pos) -> TimeCoef:
@@ -713,7 +688,7 @@ def parse_rhs(text: str, params: Optional[Iterable[str]] = None) -> RhsOperator:
     p = _Parser(_tokenize(text))
     node = p.parse_full()
     products = _expand_rhs(node, _Env(params))
-    return RhsOperator(terms=_products_to_terms(products, node[1]))
+    return RhsOperator(terms=_products_to_terms(products))
 
 
 # problem files -------------------------------------------------------------
@@ -824,7 +799,7 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
             order = int(f)
         elif kind == "rhs":
             products = _expand_rhs(node, env)
-            rhs_terms = _products_to_terms(products, node[1])
+            rhs_terms = _products_to_terms(products)
         elif kind == "ic":
             ics[extra] = _lower_expr(node, env, "an initial condition")
         elif kind == "forcing":
@@ -883,9 +858,9 @@ def _scale_source(c: Fraction, var: str) -> str:
 
 
 def _factor_source(f: RhsFactor) -> str:
-    head = f"Dx(psi,{f.n})" if f.n else "psi"
-    if f.n == 1:
-        head = "Dx(psi)"
+    head = "psi" if f.inner is None else rhs_to_source(f.inner)
+    if f.n:
+        head = f"Dx({head})" if f.n == 1 else f"Dx({head},{f.n})"
     if f.scaled:
         head += f"@({_scale_source(f.xscale, 'x')},{_scale_source(f.tscale, 't')})"
     if f.power != 1:

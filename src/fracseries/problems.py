@@ -3,10 +3,12 @@
 An equation is D_t^(m*alpha) psi = R[psi] with m initial conditions.  The
 right-hand side is a sum of terms
 
-    coeff(x) * tcoef(t) * prod_j (D_x^(n_j) psi)(xscale_j * x, tscale_j * t)^(power_j)
+    coeff(x) * tcoef(t) * prod_j (D_x^(n_j) B_j)(xscale_j * x, tscale_j * t)^(power_j)
 
-plus forcing coefficients e_k(x) on the grid t^(k*alpha)/Gamma(1+k*alpha) of the
-problem's own alpha, so dataclasses.replace(problem, alpha=a) re-derives any problem.
+with each B_j psi itself or a nested right-hand side (Dx(psi^2, 2) is one
+factor with B = psi^2), plus forcing coefficients e_k(x) on the grid
+t^(k*alpha)/Gamma(1+k*alpha) of the problem's own alpha, so
+dataclasses.replace(problem, alpha=a) re-derives any problem.
 """
 
 from __future__ import annotations
@@ -25,12 +27,17 @@ _RESERVED_NAMES = frozenset({"x", "t", "psi"})
 
 @dataclass(frozen=True)
 class RhsFactor:
-    """One unknown-function occurrence: (D_x^n psi)(xscale*x, tscale*t)^power."""
+    """One unknown-function occurrence: (D_x^n B)(xscale*x, tscale*t)^power.
+
+    B is psi when inner is None, and otherwise the right-hand side inner
+    applied to psi, whose product is formed once and then differentiated.
+    """
 
     n: int = 0
     xscale: Fraction = Fraction(1)
     tscale: Fraction = Fraction(1)
     power: int = 1
+    inner: Optional[RhsOperator] = None
 
     def __post_init__(self):
         object.__setattr__(self, "xscale", Fraction(self.xscale))
@@ -41,6 +48,8 @@ class RhsFactor:
             raise ProblemError("argument scales must be positive rationals")
         if self.power < 1:
             raise ProblemError("factor power must be >= 1")
+        if self.inner is not None and self.n < 1:
+            raise ProblemError("a nested right-hand side needs an x-derivative")
 
     @property
     def scaled(self) -> bool:
@@ -75,13 +84,15 @@ class RhsOperator:
         object.__setattr__(self, "forcing", pairs)
 
     def is_linear(self) -> bool:
-        """True when every term is a single first-power factor.
+        """True when every term is a single first-power factor, nested ones linear too.
 
         This is the structural gate of solve_linear; source terms and
         products disqualify.
         """
         return all(
-            len(t.factors) == 1 and t.factors[0].power == 1 for t in self.terms
+            len(t.factors) == 1 and t.factors[0].power == 1
+            and (t.factors[0].inner is None or t.factors[0].inner.is_linear())
+            for t in self.terms
         )
 
     def free_params(self) -> set[str]:
@@ -89,6 +100,8 @@ class RhsOperator:
         for t in self.terms:
             names |= t.coeff.free_params()
             names |= t.tcoef.free_params()
+            for f in t.factors:
+                names |= f.inner.free_params() if f.inner is not None else set()
         for _, e in self.forcing:
             names |= e.free_params()
         return names

@@ -478,10 +478,6 @@ class Scalar:
     def sqrt(self) -> "Scalar":
         return self ** Fraction(1, 2)
 
-    def same_value(self, other: ScalarLike) -> bool:
-        """Exact value equality via cross-multiplication."""
-        return (self - self._coerce(other)).is_zero()
-
     # -- structural identity ---------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -186,8 +186,3 @@ class FracSeries:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {e.to_source()}" for k, e in self.coeffs)
         return f"FracSeries(alpha={self.alpha}, trunc={self.trunc}, {{{inner}}})"
-
-
-def caputo_shift(a: FracSeries, n: int) -> FracSeries:
-    """Caputo derivative of order n*alpha of a series; see FracSeries.caputo_shift."""
-    return a.caputo_shift(n)

@@ -91,8 +91,9 @@ def _apply_tcoef(s: FracSeries, tcoef: TimeCoef, kmax: int) -> FracSeries:
 def apply_rhs(rhs: RhsOperator, series: FracSeries, kmax: int) -> FracSeries:
     """Apply a structured right-hand side to a truncated series.
 
-    Per term: x-derivatives, then argument scaling, then the factor power,
-    then the product across factors, then the x-coefficient and the time
+    Per term: each factor's base (the series, or its nested right-hand side
+    applied to it), then x-derivatives, then argument scaling, then the factor
+    power, then the product across factors, then the x-coefficient and the time
     coefficient. Source terms (no factors) contribute coeff * tcoef alone.
     """
     if kmax < 0:
@@ -102,7 +103,8 @@ def apply_rhs(rhs: RhsOperator, series: FracSeries, kmax: int) -> FracSeries:
     for term in rhs.terms:
         acc = None
         for f in term.factors:
-            base = series.dx(f.n) if f.n else series
+            base = series if f.inner is None else apply_rhs(f.inner, series, kmax)
+            base = base.dx(f.n) if f.n else base
             if f.scaled:
                 base = base.scale_args(f.xscale, f.tscale)
             base = base.pow(f.power, kmax) if f.power > 1 else base.truncate(kmax)
@@ -160,7 +162,7 @@ def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
     else:
         acc = None
         for f in term.factors:
-            base = p = image(f.n, f.xscale, f.tscale)
+            base = p = image(f.n, f.xscale, f.tscale, f.inner)
             for _ in range(f.power - 1):
                 p = _product(alpha, p, base)
             acc = p if acc is None else _product(alpha, acc, p)
@@ -181,9 +183,9 @@ def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
 def solve(problem: Problem, order: int) -> SeriesSolution:
     """Explicit recurrence: one new coefficient per step, nothing revisited.
 
-    Step k reads coefficient k-m of each term's stream; every stream
-    coefficient, and every x-derivative and argument scaling of a solution
-    coefficient, is computed once.
+    Step k reads coefficient k-m of the right-hand side's summed stream; every
+    stream coefficient, and every x-derivative and argument scaling of a
+    solution coefficient or of a nested right-hand side, is computed once.
     """
     if order < problem.m - 1:
         raise ProblemError(
@@ -194,11 +196,28 @@ def solve(problem: Problem, order: int) -> SeriesSolution:
     coeffs = list(problem.ics[: order + 1])
 
     @functools.cache
-    def image(n: int, xscale: Fraction, tscale: Fraction) -> _Stream:
-        """(D_x^n psi)(xscale*x, tscale*t), shared by every factor that reads it."""
+    def summed(rhs: RhsOperator) -> _Stream:
+        """rhs applied to the solution: its term streams plus its forcing."""
+        forcing = dict(rhs.forcing)
+        streams = [_term_stream(t, image, alpha) for t in rhs.terms]
 
         def coeff(j: int) -> Expr:
-            e = coeffs[j]
+            out = forcing.get(j, Expr.zero())
+            for s in streams:
+                e = s[j]
+                if not e.is_zero():
+                    out = out + e
+            return out
+
+        return _Stream(coeff)
+
+    @functools.cache
+    def image(n: int, xscale: Fraction, tscale: Fraction, inner: RhsOperator | None) -> _Stream:
+        """(D_x^n B)(xscale*x, tscale*t), B = psi or inner, shared by every factor."""
+        base = coeffs if inner is None else summed(inner)
+
+        def coeff(j: int) -> Expr:
+            e = base[j]
             if e.is_zero():
                 return e
             if n:
@@ -209,15 +228,12 @@ def solve(problem: Problem, order: int) -> SeriesSolution:
 
         return _Stream(coeff)
 
-    forcing = dict(problem.rhs.forcing)
-    streams = [_term_stream(t, image, alpha) for t in problem.rhs.terms]
-    streams.append(_Stream(lambda j: forcing.get(j, Expr.zero())))
+    rhs = summed(problem.rhs)
     for j in range(order + 1 - problem.m):
-        new = Expr.zero()
-        for s in streams:
-            if not s[j].is_zero():
-                new = new + s[j]
-        coeffs.append(new)
+        coeffs.append(rhs[j])
+    # summed and image refer to each other; unbinding them frees their cached
+    # streams on return instead of leaving a cycle for the garbage collector
+    del summed, image
     return SeriesSolution(problem, order, tuple(coeffs))
 
 

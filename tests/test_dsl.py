@@ -6,6 +6,10 @@ from fractions import Fraction
 import pytest
 
 from fracseries.dsl import (
+    _Env,
+    _Parser,
+    _lower_expr,
+    _tokenize,
     parse_expr,
     parse_problem,
     parse_problem_file,
@@ -50,6 +54,8 @@ def test_rhs_round_trip_spot_checks():
         "exptime(2)*Dx(psi, 2)",
         "polytime(1, 0, 3/2)*psi",
         "nu*Dx(psi^2, 2) - omega*Dx(psi^2, 4)",
+        "Dx(psi@(x/2, t)*x*psi^2, 2)@(3*x, t)",
+        "Dx(x*exptime(1)*exp(x)) + Dx(x*exptime(1)*exp(x)*psi)",
     ]
     for src in cases:
         rhs = parse_rhs(src, params=["nu", "omega"])
@@ -117,16 +123,18 @@ def test_rhs_scale_binds_to_nearest_factor():
     assert scales == [(0, Fraction(1)), (1, Fraction(1, 2))]
 
 
-def test_rhs_leibniz_expansion_of_powers():
-    # Dx(psi^2, 2) = 2 psi psi'' + 2 (psi')^2; equal factors bucket into powers
+def test_rhs_dx_of_product_is_one_factor(problems_dir):
+    # Dx(psi^2, 2) is not expanded: one factor holds psi^2 and the order
     rhs = parse_rhs("Dx(psi^2, 2)")
-    assert len(rhs.terms) == 2
-    shapes = {}
-    for t in rhs.terms:
-        key = tuple(sorted((f.n, f.power) for f in t.factors))
-        c = t.coeff.as_scalar().as_fraction()
-        shapes[key] = c
-    assert shapes == {((0, 1), (2, 1)): 2, ((1, 2),): 2}
+    (term,) = rhs.terms
+    (f,) = term.factors
+    assert f.n == 2 and f.power == 1 and f.inner == parse_rhs("psi^2")
+    assert rhs_to_source(rhs) == "Dx(psi^2,2)"
+    kg = parse_rhs("nu*Dx(psi^2,2) - omega*Dx(psi^2,4)", params=["nu", "omega"])
+    assert len(kg.terms) == 2
+    text = problem_to_source(parse_problem_file(problems_dir / "klein_gordon.frac"))
+    assert "Dx(psi^2,2)" in text and "Dx(psi^2,4)" in text
+    assert problem_to_source(parse_problem(text)) == text
 
 
 def test_rhs_time_coefficients():
@@ -150,7 +158,7 @@ def test_rhs_merges_exptime_rates():
     rhs = parse_rhs("exptime(1)*exptime(2)*psi")
     (term,) = rhs.terms
     assert isinstance(term.tcoef, ExpTime)
-    assert term.tcoef.rate.same_value(3)
+    assert (term.tcoef.rate - 3).is_zero()
 
 
 def test_forcing_lines_build_series():
@@ -190,6 +198,11 @@ def test_pure_x_rhs_terms_become_sources():
     ("-psi", "(-1)*psi", "1/2"),
     ("Dx(psi,0)", "psi", "1/2"),
     ("psi^0", "1", "1/2"),
+    # Dx of a product against its chain rule and its Leibniz expansion
+    ("Dx(psi@(x/2,t)*psi)", "(1/2)*Dx(psi)@(x/2,t)*psi + psi@(x/2,t)*Dx(psi)", "1/2"),
+    ("Dx(psi@(x/2,t)*psi)", "Dx(psi*psi@(x/2,t))", "1/2"),
+    ("Dx(psi^2,2)", "2*psi*Dx(psi,2) + 2*Dx(psi)^2", "1/2"),
+    ("Dx(psi^2,4)", "2*psi*Dx(psi,4) + 8*Dx(psi)*Dx(psi,3) + 6*Dx(psi,2)^2", "1/2"),
 ])
 def test_lowering_forms_solve_alike(a, b, alpha):
     # each left side takes a lowering path (a scaled coefficient, a scaled
@@ -201,6 +214,83 @@ def test_lowering_forms_solve_alike(a, b, alpha):
         return parse_problem(f"param nu\nalpha = {alpha}\norder = 1\nic0 = x + 1\nrhs = {rhs}\n")
 
     assert solve(problem(a), 5).coeffs == solve(problem(b), 5).coeffs
+
+
+def _rhs_at_t0(node: tuple, psi: Expr) -> Expr:
+    """The rhs syntax tree applied to psi(x, 0), walked directly.
+
+    At t = 0 a time scaling acts as the identity, exptime as 1 and polytime
+    as its first coefficient. Only psi-free calls like exp(x/3) go through
+    the x-expression lowering; the rhs lowering is not used.
+    """
+    tag = node[0]
+
+    def walk(n):
+        return _rhs_at_t0(n, psi)
+
+    def const(n):
+        return walk(n).as_scalar().as_fraction()
+
+    if tag == "num":
+        return Expr.const(node[2])
+    if tag == "name":
+        name = node[2]
+        if name in ("psi", "x"):
+            return psi if name == "psi" else Expr.x()
+        return Expr.const(Scalar.param(name))
+    if tag == "neg":
+        return -walk(node[2])
+    if tag == "add":
+        return walk(node[2]) + walk(node[3])
+    if tag == "sub":
+        return walk(node[2]) - walk(node[3])
+    if tag == "mul":
+        return walk(node[2]) * walk(node[3])
+    if tag == "div":
+        return walk(node[2]).scalar_mul(1 / const(node[3]))
+    if tag == "pow":
+        out = Expr.one()
+        for _ in range(int(const(node[3]))):
+            out = out * walk(node[2])
+        return out
+    if tag == "at":
+        return walk(node[2]).scale_x(walk(node[3]).diff_x(1).as_scalar().as_fraction())
+    fname, args = node[2], node[3]
+    if fname == "Dx":
+        return walk(args[0]).diff_x(int(const(args[1])) if len(args) == 2 else 1)
+    if fname == "exptime":
+        return Expr.one()
+    if fname == "polytime":
+        return walk(args[0])
+    return _lower_expr(node, _Env(None), "a function of x")
+
+
+@pytest.mark.parametrize("rhs", [
+    "Dx(psi@(x/2,t)*psi)",
+    "Dx(psi*psi@(x/2,t))",
+    "Dx(x*psi@(x/3,t/2)^2, 3)",
+    "Dx((psi^2)@(x/2,t))",
+    "Dx(psi^2)@(x/2,t)",
+    "Dx(psi^3,2)@(x/2,t)",
+    "Dx(Dx(psi^2)*psi@(2*x,t))",
+    "Dx(psi@(x/2,t/2)*Dx(psi)@(3*x,t),2)",
+    "(Dx(psi)*psi)@(x/2,t) - Dx(psi)^2",
+    "Dx(exp(x)*psi*Dx(psi),2)/3",
+    "Dx(exptime(2)*x*psi@(x/2,t)^2)",
+    "Dx(polytime(1,2)*psi*psi@(x/2,t))",
+    "nu*Dx(psi^2,2) - omega*Dx(psi^2,4)",
+    "-Dx(nu*psi^2)^2",
+])
+def test_lowering_matches_a_direct_walk_of_the_syntax_tree(rhs):
+    # residual_orders reads the same lowered operator as solve, so it cannot
+    # see a lowering error; this oracle reads the syntax tree instead
+    from fracseries.solver import solve
+
+    prob = parse_problem(
+        f"param nu\nparam omega\nalpha = 1\norder = 1\nic0 = x^4 + x + exp(x/3)\nrhs = {rhs}\n"
+    )
+    walked = _rhs_at_t0(_Parser(_tokenize(rhs)).parse_full(), prob.ics[0])
+    assert solve(prob, 1).coeff(1) == walked
 
 
 def test_grouping_collects_repeated_shapes():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fracseries.dsl import parse_rhs
 from fracseries.errors import AlphaOutOfRange, EvalError, ProblemError
 from fracseries.expr import Expr, ExpTime
 from fracseries.problems import (
@@ -47,6 +48,8 @@ def test_factor_validation():
         RhsFactor(tscale=Fraction(-1, 2))
     with pytest.raises(ProblemError):
         RhsFactor(power=0)
+    with pytest.raises(ProblemError):
+        RhsFactor(n=0, inner=_identity_rhs())
     f = RhsFactor(n=2, xscale=Fraction(1, 2), tscale=Fraction(1, 2), power=1)
     assert f.scaled
 
@@ -92,6 +95,9 @@ def test_is_linear():
         forcing=((0, Expr.x()),),
     )
     assert forced.is_linear()
+    # a nested right-hand side is linear when its own terms are
+    assert parse_rhs("Dx(x*psi)").is_linear()
+    assert not parse_rhs("Dx(psi^2)").is_linear()
 
 
 def test_free_params_collects_all_sites():
@@ -103,6 +109,8 @@ def test_free_params_collects_all_sites():
     )
     rhs = RhsOperator(terms=(term,))
     assert rhs.free_params() == {"nu", "r"}
+    # a parameter seen only inside the product of a Dx
+    assert parse_rhs("Dx(nu*psi^2)", params=["nu"]).free_params() == {"nu"}
 
 
 def test_param_floats_defaults_and_overrides():

@@ -59,17 +59,17 @@ def test_ring_axioms_random():
         b = _random_scalar(rng)
         c = _random_scalar(rng)
         _assert_coeff_types(a, b, c, a + b, a * b, a - b, -a, a * 0, a * 1)
-        assert ((a + b) + c).same_value(a + (b + c))
-        assert ((a * b) * c).same_value(a * (b * c))
-        assert (a * (b + c)).same_value(a * b + a * c)
-        assert (a + b).same_value(b + a)
-        assert (a * b).same_value(b * a)
+        assert (((a + b) + c) - (a + (b + c))).is_zero()
+        assert (((a * b) * c) - (a * (b * c))).is_zero()
+        assert ((a * (b + c)) - (a * b + a * c)).is_zero()
+        assert ((a + b) - (b + a)).is_zero()
+        assert ((a * b) - (b * a)).is_zero()
         assert (a - a).is_zero()
         assert (a * 0).is_zero()
-        assert (a * 1).same_value(a)
+        assert ((a * 1) - a).is_zero()
         if not b.is_zero():
             _assert_coeff_types(a / b, b ** -1, b ** -3, a / (b + two_mono))
-            assert ((a / b) * b).same_value(a)
+            assert (((a / b) * b) - a).is_zero()
 
 
 def test_field_ops():
@@ -184,11 +184,11 @@ def test_eval_matches_float_composition():
 def test_fractional_power_domain():
     a = Scalar.param("a")
     # monomials admit fractional powers
-    assert ((a * a) ** Fraction(1, 2)).same_value(a)
+    assert (((a * a) ** Fraction(1, 2)) - a).is_zero()
     with pytest.raises(ScalarError):
         (a + 1) ** Fraction(1, 2)
     # integer powers always fine
-    assert ((a + 1) ** 2).same_value(a * a + 2 * a + 1)
+    assert (((a + 1) ** 2) - (a * a + 2 * a + 1)).is_zero()
 
 
 def test_unbound_parameter_is_an_error():
@@ -209,7 +209,6 @@ def test_structural_identity_is_canonical(delay_problem, diffusion_problem):
     # polynomial quotients with a genuine common root do not reduce (no
     # polynomial gcd in the class); value equality still decides
     q = (a * a - 1) / (a - 1)
-    assert q.same_value(a + 1)
     assert (q - (a + 1)).is_zero()
     # a rational Scalar equals its int or Fraction value, so it hashes like it
     three = Scalar.from_fraction(3)

@@ -1,10 +1,12 @@
 """Coefficient recurrence: hand oracles, path agreement, verification."""
 
 import dataclasses
+import gc
 from fractions import Fraction
 
 import pytest
 
+from fracseries.dsl import parse_problem
 from fracseries.errors import (
     NotLinear,
     ProblemError,
@@ -274,6 +276,10 @@ def _delay_at(alpha):
     pytest.param(lambda r: _source_term_problem(), 6, id="source-term"),
     pytest.param(lambda r: _vanishing_time_coefficient_problem(), 6, id="vanishing-tcoef"),
     pytest.param(lambda r: _lagging_product_problem(), 7, id="lagging-product"),
+    pytest.param(lambda r: parse_problem(
+        "alpha = 1/2\norder = 1\nic0 = x^2 + 1\n"
+        "rhs = Dx(x*psi@(x/2,t/2)^2, 2) + Dx(psi*Dx(psi^2))@(x/3,t/4)\n"
+    ), 6, id="nested-dx"),
 ])
 def test_engine_equals_apply_rhs_recurrence(request, build, order):
     # structural equality, not a zero test on the difference: the engine
@@ -302,6 +308,17 @@ def test_each_derivative_image_is_computed_once(monkeypatch, diffusion_problem,
         calls = 0
         solve(prob, order)
         assert calls == want, prob.name
+
+
+def test_solve_leaves_no_cyclic_garbage(wave_problem):
+    # the engine's streams are freed when solve returns, not at a later collection
+    gc.collect()
+    gc.disable()
+    try:
+        solve(wave_problem, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- structure of solutions ----------------------------------------------------------
