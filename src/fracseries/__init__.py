@@ -20,16 +20,7 @@ from .errors import (
 )
 from .gammafn import gamma_real
 from .scalar import Scalar
-from .expr import (
-    Expr,
-    ExpTime,
-    PolyTime,
-    TimeCoef,
-    UNIT_TIME,
-    UnitTime,
-    probe_equal,
-    probe_zero,
-)
+from .expr import Expr, probe_equal, probe_zero
 from .series import (
     FracSeries,
     gamma_factor,
@@ -78,14 +69,12 @@ __all__ = [
     "EvalError",
     "EvalGrid",
     "ExactSolution",
-    "ExpTime",
     "Expr",
     "ExprError",
     "FracError",
     "FracSeries",
     "NotLinear",
     "ParseError",
-    "PolyTime",
     "Problem",
     "ProblemError",
     "RhsFactor",
@@ -95,10 +84,7 @@ __all__ = [
     "ScalarError",
     "SeriesSolution",
     "TableRow",
-    "TimeCoef",
     "TimeCoefficientIncompatible",
-    "UNIT_TIME",
-    "UnitTime",
     "apply_rhs",
     "error_table",
     "eval_solution",

@@ -17,10 +17,11 @@ sinh, cosh, sqrt, and in the rhs also Dx(E[, n]), exptime(c),
 polytime(c0, c1, ...).
 
 The rhs is lowered to structured terms at parse time: products are
-flattened, Dx distributes over sums, and argument scalings compose
-multiplicatively. Dx of a product stays one factor that holds the product
-(Dx(psi^2, 2) is a single factor of order 2 over psi^2), so the solver forms
-the product once and differentiates its coefficients.
+flattened, time factors multiply into one Expr read in t, Dx distributes
+over sums, and argument scalings compose multiplicatively. Dx of a product
+stays one factor that holds the product (Dx(psi^2, 2) is a single factor of
+order 2 over psi^2), so the solver forms the product once and differentiates
+its coefficients.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import ParseError, ProblemError, ScalarError
-from .expr import Expr, ExpTime, PolyTime, TimeCoef, UNIT_TIME, UnitTime
+from .expr import Expr
 from .problems import ExactSolution, Problem, RhsFactor, RhsOperator, RhsTerm
 from .scalar import Scalar
 
@@ -410,7 +411,7 @@ def _lower_exact(node: tuple, env: _Env):
 #   ('f', n, xscale, tscale, inner)  a first-power factor (D_x^n B)(xscale*x, tscale*t)
 #                                    with B = psi (inner None) or the RhsOperator inner
 #   ('e', Expr)                      a function of x
-#   ('t', TimeCoef, pos)             a time coefficient
+#   ('t', Expr)                      a function of t, not constant
 
 def _contains_special(node: tuple) -> bool:
     tag = node[0]
@@ -493,22 +494,15 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
         ]
     if tag == "call":
         fname, args = node[2], node[3]
-        if fname == "exptime":
-            rate = _lower_scalar(args[0], env, "exptime rate")
-            tc = UNIT_TIME if rate.is_zero() else ExpTime(rate)
-            return [(Fraction(1), [("t", tc, pos)])]
-        if fname == "polytime":
-            coeffs = tuple(
-                _lower_scalar(a, env, "polytime coefficient") for a in args
-            )
-            while coeffs and coeffs[-1].is_zero():
-                coeffs = coeffs[:-1]
-            if not coeffs:
-                return []
-            if len(coeffs) == 1:
-                # constant in t: just a scalar factor
-                return [(Fraction(1), [("e", Expr.const(coeffs[0]))])]
-            return [(Fraction(1), [("t", PolyTime(coeffs), pos)])]
+        if fname in ("exptime", "polytime"):
+            if fname == "exptime":
+                tc = Expr.exponential(_lower_scalar(args[0], env, "exptime rate"))
+            else:
+                tc = Expr.poly(_lower_scalar(a, env, "polytime coefficient") for a in args)
+            if tc.as_scalar() is None:
+                return [(Fraction(1), [("t", tc)])]
+            # constant in t: just a scalar factor
+            return [] if tc.is_zero() else [(Fraction(1), [("e", tc)])]
         if fname == "Dx":
             n = 1
             if len(args) == 2:
@@ -531,40 +525,42 @@ def _scale_unit(u: tuple, xs: Fraction, ts: Fraction) -> tuple:
         return ("f", u[1], u[2] * xs, u[3] * ts, u[4])
     if u[0] == "e":
         return ("e", u[1].scale_x(xs))
-    tc = u[1]
-    if isinstance(tc, UnitTime):
-        return u
-    if isinstance(tc, ExpTime):
-        return ("t", ExpTime(tc.rate * Scalar.from_fraction(ts)), u[2])
-    scaled = tuple(
-        c * Scalar.from_fraction(ts**j) for j, c in enumerate(tc.coeffs)
-    )
-    return ("t", PolyTime(scaled), u[2])
+    return ("t", u[1].scale_x(ts))
 
 
 def _dx_product(q: Fraction, units: list, n: int) -> list:
     """n x-derivatives of one product, as at most one product.
 
     Time units stay outside, being constant in x; two or more remaining
-    units become one factor that holds their product. Differentiating
+    units become one factor that holds their product, with the leading
+    scalar of its coefficient moved outside too, so Dx(2*x*psi) is
+    2*Dx(x*psi) and Dx(2*psi) is 2*Dx(psi). Differentiating
     (D^n0 B)(xs*x, ts*t) n times adds n to n0 and a factor xs^n.
     """
     if n == 0:
         return [(q, units)]
-    times = [u for u in units if u[0] == "t"]
+    outside = [u for u in units if u[0] == "t"]
     rest = [u for u in units if u[0] != "t"]
     if len(rest) > 1:
         (term,) = _products_to_terms([(Fraction(1), rest)])
-        inner = RhsOperator(terms=(term,))
-        rest = [("f", 0, Fraction(1), Fraction(1), inner) if term.factors else ("e", term.coeff)]
+        rest = [("e", term.coeff)]
+        if term.factors:
+            c = term.coeff.terms[0][1][-1]  # Dx commutes with this leading scalar
+            if not c.is_one():
+                outside.append(("e", Expr.const(c)))
+                term = RhsTerm(coeff=term.coeff.scalar_mul(Scalar.one() / c), factors=term.factors)
+            f = term.factors[0]
+            lone = len(term.factors) == 1 and f.power == 1 and term.coeff == Expr.one()
+            rest = [("f", f.n, f.xscale, f.tscale, f.inner) if lone
+                    else ("f", 0, Fraction(1), Fraction(1), RhsOperator(terms=(term,)))]
     if not rest:
         return []  # the product is constant in x
     u = rest[0]
     if u[0] == "f":
         _, n0, xs, ts, inner = u
-        return [(q * xs**n, times + [("f", n0 + n, xs, ts, inner)])]
+        return [(q * xs**n, outside + [("f", n0 + n, xs, ts, inner)])]
     d = u[1].diff_x(n)
-    return [] if d.is_zero() else [(q, times + [("e", d)])]
+    return [] if d.is_zero() else [(q, outside + [("e", d)])]
 
 
 def _extract_scale(node: tuple, var: str) -> Fraction:
@@ -617,7 +613,7 @@ def _products_to_terms(products: list) -> tuple[RhsTerm, ...]:
     bucket: dict = {}
     for q, units in products:
         coeff = Expr.const(q)
-        tcoef: TimeCoef = UNIT_TIME
+        tcoef = Expr.one()
         factor_count: dict[tuple, int] = {}
         for u in units:
             if u[0] == "e":
@@ -626,10 +622,11 @@ def _products_to_terms(products: list) -> tuple[RhsTerm, ...]:
                 key = u[1:]
                 factor_count[key] = factor_count.get(key, 0) + 1
             else:
-                tcoef = _merge_tcoef(tcoef, u[1], u[2])
-        if isinstance(tcoef, PolyTime) and len(tcoef.coeffs) == 1:
-            coeff = coeff.scalar_mul(tcoef.coeffs[0])
-            tcoef = UNIT_TIME
+                tcoef = tcoef * u[1]
+        c = tcoef.as_scalar()
+        if c is not None and not c.is_one():  # exptime(1)*exptime(-1) is constant in t
+            coeff = coeff.scalar_mul(c)
+            tcoef = Expr.one()
         # None and a nested operator do not order; their sources do
         factors = tuple(
             RhsFactor(n=n, xscale=xs, tscale=ts, power=p, inner=inner)
@@ -643,28 +640,6 @@ def _products_to_terms(products: list) -> tuple[RhsTerm, ...]:
     return tuple(
         RhsTerm(coeff=coeff, tcoef=tcoef, factors=factors)
         for (tcoef, factors), coeff in bucket.items() if not coeff.is_zero()
-    )
-
-
-def _merge_tcoef(a: TimeCoef, b: TimeCoef, pos) -> TimeCoef:
-    if isinstance(a, UnitTime):
-        return b
-    if isinstance(b, UnitTime):
-        return a
-    if isinstance(a, ExpTime) and isinstance(b, ExpTime):
-        rate = a.rate + b.rate
-        return UNIT_TIME if rate.is_zero() else ExpTime(rate)
-    if isinstance(a, PolyTime) and isinstance(b, PolyTime):
-        prod = [Scalar.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            for j, cb in enumerate(b.coeffs):
-                prod[i + j] = prod[i + j] + ca * cb
-        while prod and prod[-1].is_zero():
-            prod.pop()
-        return PolyTime(tuple(prod)) if prod else UNIT_TIME
-    raise ParseError(
-        "cannot mix exponential and polynomial time coefficients in one term",
-        *pos,
     )
 
 
@@ -868,13 +843,19 @@ def _factor_source(f: RhsFactor) -> str:
     return head
 
 
-def _tcoef_source(tc: TimeCoef) -> Optional[str]:
-    if isinstance(tc, UnitTime):
+def _tcoef_source(tc: Expr) -> Optional[str]:
+    """tc in exptime/polytime syntax; a sum (library-built only) in parentheses."""
+    if tc == Expr.one():
         return None
-    if isinstance(tc, ExpTime):
-        return f"exptime({tc.rate.to_source()})"
-    inner = ",".join(c.to_source() for c in tc.coeffs)
-    return f"polytime({inner})"
+    chunks = []
+    for mu, poly in tc.terms:
+        ptxt = "polytime(" + ",".join(c.to_source() for c in poly) + ")"
+        if mu.is_zero():
+            chunks.append(ptxt)
+        else:
+            etxt = f"exptime({mu.to_source()})"
+            chunks.append(etxt if poly == (Scalar.one(),) else f"{ptxt}*{etxt}")
+    return chunks[0] if len(chunks) == 1 else "(" + " + ".join(chunks) + ")"
 
 
 def _term_source(t: RhsTerm) -> str:

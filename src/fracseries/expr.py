@@ -1,4 +1,4 @@
-"""Closed symbolic expression class for coefficient functions of x.
+"""Closed symbolic expression class for exponential-polynomials in one variable.
 
 An Expr is a finite sum  sum_i p_i(x) * exp(mu_i * x)  where each p_i is a
 polynomial in x with Scalar coefficients and each frequency mu_i is a
@@ -15,15 +15,16 @@ differ structurally, so their difference is not zero here. probe_equal and
 probe_zero compare numerically at random points; no verdict of the package
 uses them.
 
-Also defined here: the time-coefficient markers a right-hand-side term may
-carry (trivial, exp(c*t), polynomial in t), which the solver interprets.
+The variable is x for series coefficients and initial conditions. A
+right-hand-side term's time coefficient is an Expr read in t instead
+(exptime(c) is exp(c*t), polytime(c0, c1) is c0 + c1*t), and there diff_x
+and scale_x act on t.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -470,48 +471,6 @@ def probe_zero(
         if not (abs(v) <= rtol * scale):
             return False
     return True
-
-
-# -- time coefficients ----------------------------------------------------------
-
-class TimeCoef:
-    """Base for the time-dependent factor a right-hand-side term may carry."""
-
-    __slots__ = ()
-
-    def free_params(self) -> frozenset[str]:
-        return frozenset()
-
-
-@dataclass(frozen=True)
-class UnitTime(TimeCoef):
-    """No time dependence."""
-
-
-@dataclass(frozen=True)
-class ExpTime(TimeCoef):
-    """exp(rate * t)."""
-
-    rate: Scalar
-
-    def free_params(self) -> frozenset[str]:
-        return self.rate.free_params()
-
-
-@dataclass(frozen=True)
-class PolyTime(TimeCoef):
-    """Polynomial in plain t: coeffs[j] * t^j."""
-
-    coeffs: tuple[Scalar, ...]
-
-    def free_params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for c in self.coeffs:
-            out |= c.free_params()
-        return out
-
-
-UNIT_TIME = UnitTime()
 
 
 _EXPR_ZERO = Expr((), _raw=True)

@@ -5,8 +5,9 @@ right-hand side is a sum of terms
 
     coeff(x) * tcoef(t) * prod_j (D_x^(n_j) B_j)(xscale_j * x, tscale_j * t)^(power_j)
 
-with each B_j psi itself or a nested right-hand side (Dx(psi^2, 2) is one
-factor with B = psi^2), plus forcing coefficients e_k(x) on the grid
+with tcoef an exponential-polynomial in t (an Expr read in t), each B_j psi
+itself or a nested right-hand side (Dx(psi^2, 2) is one factor with
+B = psi^2), plus forcing coefficients e_k(x) on the grid
 t^(k*alpha)/Gamma(1+k*alpha) of the problem's own alpha, so
 dataclasses.replace(problem, alpha=a) re-derives any problem.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .errors import AlphaOutOfRange, EvalError, ProblemError
-from .expr import Expr, TimeCoef, UNIT_TIME
+from .expr import Expr
 from .scalar import Scalar
 
 _RESERVED_NAMES = frozenset({"x", "t", "psi"})
@@ -60,12 +61,13 @@ class RhsFactor:
 class RhsTerm:
     """Product term of the right-hand side.
 
-    An empty factor tuple makes the term a pure source: it contributes
-    coeff(x) * tcoef(t) on its own.
+    tcoef is an Expr read as a function of t; Expr.one() means no time
+    dependence. An empty factor tuple makes the term a pure source: it
+    contributes coeff(x) * tcoef(t) on its own.
     """
 
     coeff: Expr
-    tcoef: TimeCoef = UNIT_TIME
+    tcoef: Expr = Expr.one()
     factors: tuple[RhsFactor, ...] = ()
 
 

@@ -265,6 +265,9 @@ class Scalar:
         self.den = den
         self._src = None
 
+    def __reduce__(self):  # an unpickled unit denominator is _ONE_SUM again
+        return _rebuild, (self.num, self.den)
+
     # -- construction ------------------------------------------------------
 
     @staticmethod
@@ -601,6 +604,10 @@ def _sum_source(monos) -> str:
         else:
             chunks.append((" - " if neg else " + ") + txt)
     return "".join(chunks)
+
+
+def _rebuild(num, den) -> Scalar:
+    return Scalar(num, _ONE_SUM if den == _ONE_SUM else den, _raw=True)
 
 
 _ZERO_SCALAR = Scalar((), _ONE_SUM, _raw=True)

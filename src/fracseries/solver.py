@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotLinear, ProblemError, TimeCoefficientIncompatible
-from .expr import Expr, ExpTime, PolyTime, TimeCoef, UnitTime
+from .expr import Expr
 from .problems import Problem, RhsOperator, RhsTerm
 from .scalar import Scalar
 from .series import FracSeries, _mul_weight
@@ -63,27 +63,23 @@ _OFF_GRID = (
 )
 
 
-def _tcoef_coeff(tcoef: TimeCoef, j: int) -> Expr:
-    """Normalized coefficient j of a time coefficient on the integer grid (alpha = 1 only)."""
-    if isinstance(tcoef, ExpTime):
-        # exp(c*t): normalized coefficient j is c^j
-        return Expr.const(tcoef.rate ** j)
-    if isinstance(tcoef, PolyTime):
-        # plain t^j carries j! once the 1/Gamma(1+j) normalization is factored out
-        if j >= len(tcoef.coeffs):
-            return Expr.zero()
-        return Expr.const(tcoef.coeffs[j] * Scalar.from_fraction(math.factorial(j)))
-    raise TimeCoefficientIncompatible(f"unknown time coefficient {tcoef!r}")
+def _tcoef_grid(tcoef: Expr):
+    """Grid coefficients of tcoef, an Expr read in t, at alpha = 1: its j-th
+    t-derivatives at t = 0, where each exponential is 1 and each polynomial
+    its constant term."""
+    while True:
+        yield Expr.const(sum((poly[0] for _, poly in tcoef.terms), Scalar.zero()))
+        tcoef = tcoef.diff_x()
 
 
-def _apply_tcoef(s: FracSeries, tcoef: TimeCoef, kmax: int) -> FracSeries:
-    if isinstance(tcoef, UnitTime):
+def _apply_tcoef(s: FracSeries, tcoef: Expr, kmax: int) -> FracSeries:
+    if tcoef == Expr.one():
         return s
     if s.is_zero():
         # the time factor multiplies an identically-zero series; nothing to place
         return s
     if s.alpha == 1:
-        grid = [_tcoef_coeff(tcoef, j) for j in range(kmax + 1)]
+        grid = list(itertools.islice(_tcoef_grid(tcoef), kmax + 1))
         return s.mul(FracSeries(s.alpha, kmax, grid), kmax)
     raise TimeCoefficientIncompatible(_OFF_GRID)
 
@@ -167,10 +163,11 @@ def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
                 p = _product(alpha, p, base)
             acc = p if acc is None else _product(alpha, acc, p)
         s = _Stream(lambda j: Expr.zero() if acc[j].is_zero() else acc[j] * term.coeff)
-    if isinstance(term.tcoef, UnitTime):
+    if term.tcoef == Expr.one():
         return s
     if alpha == 1:
-        return _product(alpha, s, _Stream(lambda j: _tcoef_coeff(term.tcoef, j)))
+        grid = _tcoef_grid(term.tcoef)
+        return _product(alpha, s, _Stream(lambda j: next(grid)))
 
     def off_grid(j: int) -> Expr:
         if not s[j].is_zero():

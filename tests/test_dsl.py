@@ -18,7 +18,8 @@ from fracseries.dsl import (
     rhs_to_source,
 )
 from fracseries.errors import ParseError
-from fracseries.expr import Expr, ExpTime, PolyTime, UnitTime
+from fracseries.expr import Expr
+from fracseries.problems import Problem, RhsFactor, RhsOperator, RhsTerm
 from fracseries.scalar import Scalar
 
 
@@ -138,27 +139,59 @@ def test_rhs_dx_of_product_is_one_factor(problems_dir):
 
 
 def test_rhs_time_coefficients():
+    # a time coefficient is an Expr read in t
     rhs = parse_rhs("exptime(3)*Dx(psi)")
     (term,) = rhs.terms
-    assert isinstance(term.tcoef, ExpTime)
+    assert term.tcoef == Expr.exponential(3)
     rhs2 = parse_rhs("polytime(1, 2)*psi")
     (term2,) = rhs2.terms
-    assert isinstance(term2.tcoef, PolyTime)
+    assert term2.tcoef == Expr.poly([1, 2])
     # exptime(0) is the unit coefficient
     rhs3 = parse_rhs("exptime(0)*psi")
-    assert isinstance(rhs3.terms[0].tcoef, UnitTime)
+    assert rhs3.terms[0].tcoef == Expr.one()
     # a one-entry polytime folds into the scalar coefficient
     rhs4 = parse_rhs("polytime(5)*psi")
     (term4,) = rhs4.terms
-    assert isinstance(term4.tcoef, UnitTime)
+    assert term4.tcoef == Expr.one()
     assert (term4.coeff - Expr.const(5)).is_zero()
+    # polynomial and exponential factors multiply: t*exp(t)
+    (term5,) = parse_rhs("polytime(0,1)*exptime(1)*psi").terms
+    assert term5.tcoef == Expr.x() * Expr.exponential(1)
+    assert rhs_to_source(RhsOperator(terms=(term5,))) == "polytime(0,1)*exptime(1)*psi"
 
 
 def test_rhs_merges_exptime_rates():
     rhs = parse_rhs("exptime(1)*exptime(2)*psi")
     (term,) = rhs.terms
-    assert isinstance(term.tcoef, ExpTime)
-    assert (term.tcoef.rate - 3).is_zero()
+    assert term.tcoef == Expr.exponential(3)
+    # rates that cancel leave no time coefficient
+    assert parse_rhs("exptime(1)*exptime(-1)*psi").terms[0].tcoef == Expr.one()
+
+
+def test_rhs_time_coefficient_sum_prints_parenthesized():
+    # only the library builds a sum of exponentials in t; it prints as a
+    # parenthesized sum, and the reparsed problem (two terms) solves alike
+    from fracseries.solver import solve
+
+    tc = Expr.exponential(1) + Expr.exponential(2)
+    term = RhsTerm(coeff=Expr.one(), tcoef=tc, factors=(RhsFactor(),))
+    p = Problem(name="p", m=1, alpha=Fraction(1), rhs=RhsOperator(terms=(term,)),
+                ics=(Expr.x() + 1,))
+    assert rhs_to_source(p.rhs) == "(exptime(1) + exptime(2))*psi"
+    again = parse_problem(problem_to_source(p))
+    assert len(again.rhs.terms) == 2
+    assert solve(again, 8).coeffs == solve(p, 8).coeffs
+
+
+def test_rhs_constant_moves_out_of_a_dx_product():
+    # Dx commutes with constants, so both spellings are one term and one
+    # product stream
+    rhs = parse_rhs("Dx(2*x*psi) + 2*Dx(x*psi)")
+    assert rhs == parse_rhs("4*Dx(x*psi)")
+    assert rhs_to_source(rhs) == "4*Dx(x*psi)"
+    assert rhs_to_source(parse_rhs("Dx(nu*psi^2)")) == "nu*Dx(psi^2)"
+    # a lone first-power factor left inside is no nested operator
+    assert parse_rhs("Dx(2*psi)") == parse_rhs("2*Dx(psi)")
 
 
 def test_forcing_lines_build_series():
@@ -194,6 +227,8 @@ def test_pure_x_rhs_terms_become_sources():
     ("Dx(x*psi)", "psi + x*Dx(psi)", "1/2"),
     ("Dx(exp(2*x)*psi)", "2*exp(2*x)*psi + exp(2*x)*Dx(psi)", "1/2"),
     ("polytime(1,1)*polytime(0,1)*psi", "polytime(0,1,1)*psi", "1"),
+    ("(polytime(0,1)*exptime(1))@(x,2*t)*psi", "polytime(0,2)*exptime(2)*psi", "1"),
+    ("Dx(2*x*psi) + 2*Dx(x*psi)", "4*Dx(x*psi)", "1/2"),
     ("polytime(0,0)*psi", "0", "1"),
     ("-psi", "(-1)*psi", "1/2"),
     ("Dx(psi,0)", "psi", "1/2"),

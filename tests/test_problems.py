@@ -7,7 +7,7 @@ import pytest
 
 from fracseries.dsl import parse_rhs
 from fracseries.errors import AlphaOutOfRange, EvalError, ProblemError
-from fracseries.expr import Expr, ExpTime
+from fracseries.expr import Expr
 from fracseries.problems import (
     ExactSolution,
     Problem,
@@ -104,7 +104,7 @@ def test_free_params_collects_all_sites():
     nu = Scalar.param("nu")
     term = RhsTerm(
         coeff=Expr.const(nu),
-        tcoef=ExpTime(Scalar.param("r")),
+        tcoef=Expr.exponential(Scalar.param("r")),
         factors=(RhsFactor(n=1),),
     )
     rhs = RhsOperator(terms=(term,))

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fracseries.errors import EvalError, ScalarError
-from fracseries.scalar import _SIG_MUL_CACHE_SIZE, Scalar, _intern, _sig_mul
+from fracseries.scalar import _ONE_SUM, _SIG_MUL_CACHE_SIZE, Scalar, _intern, _sig_mul
 from fracseries.solver import apply_rhs, residual_series, solve
 
 
@@ -284,6 +284,9 @@ def test_pickle_and_copies_keep_structure_and_interning(delay_problem):
         rationals = _signature_rationals(_expr_scalars(c_sol.coeffs) + [c_surd])
         for q in rationals:
             assert q is _intern(Fraction(q)), q
+    # a unit denominator comes back as the shared tuple, so the copy's sums
+    # and products keep the fast path of _make
+    assert pickle.loads(pickle.dumps(Scalar.param("a") + 1)).den is _ONE_SUM
 
 
 def test_signature_product_cache_is_bounded(delay_problem):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from fracseries.errors import (
     ProblemError,
     TimeCoefficientIncompatible,
 )
-from fracseries.expr import Expr, ExpTime, PolyTime
+from fracseries.expr import Expr
 from fracseries.problems import Problem, RhsFactor, RhsOperator, RhsTerm
 from fracseries.scalar import Scalar
 from fracseries.series import FracSeries
@@ -49,13 +50,12 @@ def _term(coeff=None, n=0, xscale=1, tscale=1, power=1, tcoef=None):
 
 def _bell_problem():
     # u' = exp(t)*u, u(0) = 1 has u = exp(exp(t) - 1)
-    return _problem(1, 1, [Expr.one()], [_term(tcoef=ExpTime(Scalar.one()))])
+    return _problem(1, 1, [Expr.one()], [_term(tcoef=Expr.exponential(1))])
 
 
 def _poly_time_problem():
     # u' = t*u, u(0) = x has u = x*exp(t^2/2)
-    tc = PolyTime((Scalar.zero(), Scalar.one()))
-    return _problem(1, 1, [Expr.x()], [_term(tcoef=tc)])
+    return _problem(1, 1, [Expr.x()], [_term(tcoef=Expr.poly([0, 1]))])
 
 
 def _forcing_problem():
@@ -74,7 +74,7 @@ def _vanishing_time_coefficient_problem():
     # term contributes nothing and any alpha is fine
     return _problem(
         Fraction(1, 2), 1, [Expr.x()],
-        [_term(n=2, tcoef=ExpTime(Scalar.one())), _term(n=1)],
+        [_term(n=2, tcoef=Expr.exponential(1)), _term(n=1)],
     )
 
 
@@ -229,7 +229,7 @@ def test_nonlinear_rejected_by_fast_path(wave_problem):
 
 def test_time_coefficient_rejected_off_grid():
     # exp(t) coefficient with a surviving factor at alpha = 1/2
-    p = _problem(Fraction(1, 2), 1, [Expr.x()], [_term(tcoef=ExpTime(Scalar.one()))])
+    p = _problem(Fraction(1, 2), 1, [Expr.x()], [_term(tcoef=Expr.exponential(1))])
     with pytest.raises(TimeCoefficientIncompatible):
         solve(p, 3)
     with pytest.raises(TimeCoefficientIncompatible):
@@ -246,6 +246,29 @@ def test_time_coefficient_allowed_when_factor_vanishes():
     lin = solve_linear(p, 3)
     for k in range(4):
         assert (lin.coeff(k) - sol.coeff(k)).is_zero()
+
+
+def test_mixed_time_coefficient_against_its_closed_form():
+    # u' = t*exp(t)*u, u(0) = 1 has u = exp((t - 1)*exp(t) + 1). The engine
+    # and the residual share the time grid, so the reference is built here
+    # from Fraction power series: f = (t - 1)*exp(t) + 1 has f_k =
+    # 1/(k-1)! - 1/k! (f_0 = 0), and g = exp(f) solves k*g_k = sum_i i*f_i*g_(k-i).
+    K = 10
+    p = parse_problem("alpha = 1\norder = 1\nic0 = 1\nrhs = polytime(0,1)*exptime(1)*psi\n")
+    f = [Fraction(0)] + [
+        Fraction(1, math.factorial(k - 1)) - Fraction(1, math.factorial(k))
+        for k in range(1, K + 1)
+    ]
+    g = [Fraction(1)]
+    for k in range(1, K + 1):
+        g.append(sum(i * f[i] * g[k - i] for i in range(1, k + 1)) / k)
+    want = [g[k] * math.factorial(k) for k in range(K + 1)]
+    assert want == [1, 0, 1, 2, 6, 24, 105, 510, 2765, 16408, 105210]
+    sol = solve(p, K)
+    assert sol.coeffs == tuple(Expr.const(c) for c in want)
+    assert all(ok for _, ok in residual_orders(p, sol))
+    with pytest.raises(TimeCoefficientIncompatible):
+        solve(dataclasses.replace(p, alpha=Fraction(1, 2)), 3)
 
 
 def _apply_rhs_recurrence(p, order):
