@@ -6,14 +6,15 @@ Scalar, pairwise distinct and sorted. Hyperbolics enter expanded:
 cosh(c*x) = (exp(c*x) + exp(-c*x))/2. The class is closed under addition,
 multiplication, d/dx and x -> a*x. The zero test is structural (an
 expression is zero iff it has no terms), so it is exact only while the
-Scalars are canonical. Rationals, parameters and prime atoms are, and Gamma
-atoms are canonical under translation: gamma(3/2) is built as
-gamma(1/2)/2, so Expr.const(gamma(3/2) - gamma(1/2)/2).is_zero() holds. The
-reflection and multiplication relations are not applied:
-gamma(1/4)*gamma(3/4) and 2^(1/2)*gamma(1/2)^2 are both pi*sqrt(2) but
-differ structurally, so their difference is not zero here. probe_equal and
-probe_zero compare numerically at random points; no verdict of the package
-uses them.
+Scalars are canonical. Rationals, parameters and prime atoms are. Gamma
+atoms are canonical under translation and, at composite denominators up to
+32, under the multiplication formula: gamma(3/2) is built as gamma(1/2)/2 and
+gamma(3/4) as 2^(1/2)*gamma(1/2)^2/gamma(1/4), so
+Expr.const(gamma(1/4)*gamma(3/4) - 2^(1/2)*gamma(1/2)^2).is_zero() holds.
+Prime denominators have no relation applied: gamma(1/3)*gamma(2/3) and
+2*3^(-1/2)*gamma(1/2)^2 are both 2pi/sqrt(3) but differ structurally, so
+their difference is not zero here. probe_equal and probe_zero compare
+numerically at random points; no verdict of the package uses them.
 
 The variable is x for series coefficients and initial conditions. A
 right-hand-side term's time coefficient is an Expr read in t instead

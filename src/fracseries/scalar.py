@@ -9,7 +9,8 @@ exponents. Three atom kinds exist:
 * gamma-function values at rational arguments in (0, 1): construction
   folds an integer argument n to (n-1)! and reduces gamma(f + n), f in
   (0, 1), to the rational (f)_n = f(f+1)...(f+n-1) times gamma(f), by
-  the recurrence Gamma(z+1) = z*Gamma(z) (DLMF 5.5.1);
+  the recurrence Gamma(z+1) = z*Gamma(z) (DLMF 5.5.1), and gamma(f) to
+  its canonical form over a basis of Gamma atoms (below);
 * prime bases carrying the fractional part of a rational-base power, so
   2^(-1/2) normalizes to the monomial (1/2) * 2^(1/2).
 
@@ -27,12 +28,24 @@ a monomial product is memoized. Every division goes through Fraction, so
 no coefficient is ever a float. Denominators equal to 1 share one
 unit-sum tuple, and sums and products of such Scalars skip the quotient
 normalization. Adding zero, multiplying by zero and multiplying by one
-return an operand (or the zero Scalar) without arithmetic. Gamma
-atoms are canonical under translation only: the reflection and
-multiplication formulas are not applied, so gamma(1/4)*gamma(3/4) and
-2^(1/2)*gamma(1/2)^2 (both pi*sqrt(2)) stay distinct, and a residual
-check reports such a value-equal pair as nonzero. Sums are not factored,
-so quotients reduce only up to monomial content.
+return an operand (or the zero Scalar) without arithmetic.
+
+Gamma atoms follow Gauss's multiplication formula (DLMF 5.5.6),
+prod_{j<n} Gamma(z + j/n) = (2pi)^((n-1)/2) n^(1/2 - n z) Gamma(n z), which
+stays in the ring because pi = gamma(1/2)^2. For each reduced denominator
+q (a level) with a proper divisor n, the formulas at z = a/q are solved
+for some of the level's atoms in terms of the others, so gamma(f) is one
+monomial over basis atoms with integral Gamma exponents, and the form
+depends on f alone. Levels above 32 are left as they are, since the cost
+of building a level grows faster than q^1.5. gamma(3/4) is 2^(1/2)*gamma(1/2)^2/gamma(1/4), so
+gamma(1/4)*gamma(3/4) - 2^(1/2)*gamma(1/2)^2 is structurally zero, and
+gamma(1/6) and gamma(5/6) are written over gamma(1/2), gamma(1/3) and
+gamma(2/3). A prime level is left out: its one relation, the
+distribution formula n = q, merged no monomials where measured and made
+the solver slower. So gamma(1/3)*gamma(2/3) and 2*3^(-1/2)*gamma(1/2)^2
+(both 2pi/sqrt(3)) stay distinct, and a residual check reports such a
+value-equal pair as nonzero. Sums are not factored, so quotients reduce
+only up to monomial content.
 """
 
 from __future__ import annotations
@@ -128,7 +141,8 @@ class _Q(Fraction):
 
 
 # Process-wide, as identity must be, and never pruned: it holds one entry per
-# distinct Gamma argument or exponent (27 over the whole Tier-1 suite).
+# distinct Gamma argument or exponent (52 over the whole Tier-1 suite, whose
+# basis tests build every Gamma level up to 12; 24 without them).
 _INTERNED: dict[tuple[int, int], _Q] = {}
 
 
@@ -173,7 +187,7 @@ def _normalize_exponents(exps: dict[Atom, int | Fraction]) -> tuple[Sig, Coeff]:
 
 
 # Distinct signature pairs multiplied by solve plus residual_orders: at most
-# 425 per benchmark case (605 in one delay-sweep process), 11,319 for
+# 405 per benchmark case (530 in one delay-sweep process), 11,319 for
 # burgers-delay at alpha 2/7, K = 12.
 _SIG_MUL_CACHE_SIZE = 16384
 
@@ -222,6 +236,102 @@ def _rational_power(q: Coeff, e: Fraction) -> tuple[Sig, Coeff]:
             atom = ("r", p)
             exps[atom] = exps.get(atom, 0) + sign * mult * e
     return _normalize_exponents(exps)
+
+
+def _substitute(sig: Sig, c: Coeff, forms: Mapping) -> tuple[Sig, Coeff]:
+    """The monomial c*sig with each Gamma atom whose argument forms maps
+    replaced by that form."""
+    exps: dict[Atom, int | Fraction] = {}
+    for atom, e in sig:
+        form = forms.get(atom[1]) if atom[0] == "g" else None
+        if form is None:
+            exps[atom] = exps.get(atom, 0) + e
+            continue
+        fsig, fc = form
+        c = c * Fraction(fc) ** e  # Gamma exponents are ints
+        for fatom, fe in fsig:
+            exps[fatom] = exps.get(fatom, 0) + fe * e
+    new_sig, mult = _normalize_exponents(exps)
+    return new_sig, _demote(c * mult)
+
+
+def _multiplication_relation(z: Fraction, n: int) -> tuple[Sig, Coeff]:
+    """Gauss's multiplication formula (DLMF 5.5.6) as a monomial equal to 1:
+    prod_{j<n} Gamma(z + j/n) / ((2pi)^((n-1)/2) n^(1/2 - n z) Gamma(n z)),
+    with pi = gamma(1/2)^2, for z in (0, 1/n] so every argument is in (0, 1]."""
+    exps: dict[Atom, int | Fraction] = {}
+
+    def gamma_power(arg: Fraction, e: int) -> None:
+        if arg != 1:  # Gamma(1) = 1
+            atom = ("g", _intern(arg))
+            exps[atom] = exps.get(atom, 0) + e
+
+    for j in range(n):
+        gamma_power(z + Fraction(j, n), 1)
+    gamma_power(n * z, -1)
+    gamma_power(Fraction(1, 2), 1 - n)
+    exps[("r", 2)] = Fraction(1 - n, 2)
+    for p, mult in _factorize(n).items():
+        exps[("r", p)] = exps.get(("r", p), 0) + mult * (n * z - Fraction(1, 2))
+    return _normalize_exponents(exps)
+
+
+# Levels above this keep their Gamma atoms as they are. Building one level
+# takes time growing faster than q^1.5, divisor levels included: up to 10 ms
+# for any q <= 32, 75 ms at q = 96 and 5 s at q = 5000 (alpha 0.1234) on one
+# core of a shared Xeon. On burgers-delay at K = 12 the relations merged
+# monomials up to q = 20 and none from 21 to 36.
+_GAMMA_LEVEL_LIMIT = 32
+
+
+def _gamma_form(f: Fraction) -> tuple[Sig, Coeff]:
+    """The canonical monomial of gamma(f), f in (0, 1): the atom itself unless
+    its level eliminates it."""
+    q = f.denominator
+    form = _gamma_level(q).get(f) if q <= _GAMMA_LEVEL_LIMIT else None
+    return form or (((("g", _intern(f)), 1),), 1)
+
+
+@functools.cache
+def _gamma_level(q: int) -> dict[Fraction, tuple[Sig, Coeff]]:
+    """The forms of the atoms gamma(a/q) that level q eliminates, as monomials
+    (sig, coeff) over basis atoms; the level's other atoms form its basis.
+
+    The relations are the multiplication formulas for the proper divisors n
+    of q (1 < n < q) at z = a/q in (0, 1/n]; a prime level has none. Each
+    relation has the forms of the lower levels substituted, then the forms
+    of this level's earlier pivots, until none is left. It is solved for its
+    largest atom of exact denominator q with exponent +-1 (the pivot). A
+    relation with no such atom is dropped: it is implied by the earlier
+    ones, relates lower levels only (such as the distribution relation of a
+    prime level d | q), or could be solved only with a non-integral Gamma
+    exponent. A pivot's form may hold later pivots, never earlier ones, so
+    substituting into the forms latest first leaves every form over basis
+    atoms only; it depends on a/q alone.
+    """
+    divisors = [n for n in range(2, q) if q % n == 0]
+    lower: dict[Fraction, tuple[Sig, Coeff]] = {}
+    for d in divisors:
+        lower.update(_gamma_level(d))
+    pivots: dict[Fraction, tuple[Sig, Coeff]] = {}
+    for n in divisors:
+        for a in range(1, q // n + 1):
+            sig, c = _substitute(*_multiplication_relation(Fraction(a, q), n), lower)
+            while any(atom[0] == "g" and atom[1] in pivots for atom, _ in sig):
+                sig, c = _substitute(sig, c, pivots)
+            pivot = max(
+                (atom for atom, e in sig
+                 if atom[0] == "g" and atom[1].denominator == q and e in (1, -1)),
+                default=None,
+            )
+            if pivot is None:
+                continue
+            rest = tuple(item for item in sig if item[0] != pivot)
+            # c * gamma(pivot)^e * rest = 1 with e = +-1
+            pivots[pivot[1]] = (rest, c) if dict(sig)[pivot] == -1 else _mono_inv(rest, c)
+    for f in reversed(list(pivots)):
+        pivots[f] = _substitute(*pivots[f], pivots)
+    return pivots
 
 
 # Sum helpers read iterables of (sig, coeff) pairs, return {sig: coeff} dicts.
@@ -354,8 +464,9 @@ class Scalar:
             return cls.from_fraction(math.factorial(int(arg) - 1))
         n = arg.numerator // arg.denominator
         f = arg - n
-        poch = _demote(math.prod((f + i for i in range(n)), start=Fraction(1)))
-        return cls._make({((("g", _intern(f)), 1),): poch}, _ONE_SUM)
+        poch = math.prod((f + i for i in range(n)), start=Fraction(1))
+        sig, c = _gamma_form(f)
+        return cls._make({sig: _demote(poch * c)}, _ONE_SUM)
 
     @classmethod
     def rational_power(cls, base, exp) -> "Scalar":

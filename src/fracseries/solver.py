@@ -272,7 +272,8 @@ def residual_orders(problem: Problem, sol: SeriesSolution) -> list[tuple[int, bo
 
     A True verdict is a proof. False means the coefficient is not structurally
     zero, which includes forms equal in value that the canonical Scalars do
-    not relate (gamma(1/4)*gamma(3/4) against 2^(1/2)*gamma(1/2)^2).
+    not relate (gamma(1/3)*gamma(2/3) against 2*3^(-1/2)*gamma(1/2)^2: no
+    relation is applied at a prime denominator).
     """
     res = residual_series(problem, sol)
     return [(j, res.coeff(j).is_zero()) for j in range(sol.order - problem.m + 1)]

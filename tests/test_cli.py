@@ -151,10 +151,11 @@ def test_delay_coefficients_golden(capsys, problems_dir):
 
 def test_stdout_matches_golden_digests(capsys, problems_dir):
     """stdout sha256 and exit code of `coeffs --format json` and `residual`
-    on every shipped problem at K = 8 and six alphas, plus the numeric
-    output: `table --exact --format csv` on kolmogorov and burgers-delay
-    (alpha 1, K = 16), a klein-gordon `table` with bound parameters, and
-    `eval` on kolmogorov at K = 200.
+    on every shipped problem at K = 8 and six alphas, and on burgers-delay at
+    the composite-denominator alpha 5/6, plus the numeric output:
+    `table --exact --format csv` on kolmogorov and burgers-delay (alpha 1,
+    K = 16), a klein-gordon `table` with bound parameters, and `eval` on
+    kolmogorov at K = 200.
 
     The digests in tests/data/golden_stdout.json pin the exact coefficients,
     verdicts and printed numbers byte for byte. Only a change that means to alter stdout may
@@ -162,7 +163,7 @@ def test_stdout_matches_golden_digests(capsys, problems_dir):
     code, and say in the change what output changed and why.
     """
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) == 40
+    assert len(cases) == 42
     assert not _golden_mismatches(capsys, cases, problems_dir)
 
 

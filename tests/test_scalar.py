@@ -3,14 +3,27 @@
 import copy
 import dataclasses
 import math
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fracseries
 from fracseries.errors import EvalError, ScalarError
-from fracseries.scalar import _ONE_SUM, _SIG_MUL_CACHE_SIZE, Scalar, _intern, _sig_mul
+from fracseries.scalar import (
+    _GAMMA_LEVEL_LIMIT,
+    _ONE_SUM,
+    _SIG_MUL_CACHE_SIZE,
+    Scalar,
+    _gamma_level,
+    _intern,
+    _sig_mul,
+)
 from fracseries.solver import apply_rhs, residual_series, solve
 
 
@@ -131,6 +144,116 @@ def test_gamma_functional_relation_structural():
     assert (Scalar.gamma(3 * half) - Scalar.gamma(half) * half).is_zero()
     for a in (Fraction(5, 3), Fraction(1, 7), Fraction(22, 5)):
         assert Scalar.gamma(a + 1) == a * Scalar.gamma(a), a
+
+
+def _unit_fractions(q):
+    return [Fraction(a, q) for a in range(1, q) if math.gcd(a, q) == 1]
+
+
+def _gamma_monomial(f):
+    """The canonical gamma(f) as its one monomial (sig, coeff)."""
+    g = Scalar.gamma(f)
+    assert len(g.num) == 1 and g.den == _ONE_SUM, f
+    return g.num[0]
+
+
+def _is_basis(f):
+    return _gamma_monomial(f) == (((("g", f), 1),), 1)
+
+
+GAMMA_LEVELS = range(2, 13)
+
+
+def test_gamma_basis_matches_gamma_function():
+    for q in GAMMA_LEVELS:
+        for f in _unit_fractions(q):
+            v = Scalar.gamma(f).eval()
+            assert math.isclose(v, math.gamma(f), rel_tol=1e-13), f
+
+
+def test_gamma_basis_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for q in GAMMA_LEVELS:
+            for f in _unit_fractions(q):
+                sig, c = _gamma_monomial(f)
+                v = mpmath.mpf(c.numerator) / c.denominator
+                for (kind, arg), e in sig:
+                    base = mpmath.gamma(mpmath.mpf(arg.numerator) / arg.denominator) \
+                        if kind == "g" else mpmath.mpf(arg)
+                    v *= base ** (mpmath.mpf(e.numerator) / e.denominator)
+                want = mpmath.gamma(mpmath.mpf(f.numerator) / f.denominator)
+                assert abs(v / want - 1) < mpmath.mpf(10) ** -50, f
+
+
+def test_gamma_forms_use_basis_atoms_with_int_exponents():
+    for q in GAMMA_LEVELS:
+        for f in _unit_fractions(q):
+            sig, _ = _gamma_monomial(f)
+            for atom, e in sig:
+                if atom[0] == "g":
+                    assert type(e) is int, (f, atom, e)
+                    assert _is_basis(atom[1]), (f, atom)
+    bases = {q: [f for f in _unit_fractions(q) if _is_basis(f)] for q in GAMMA_LEVELS}
+    assert bases[4] == [Fraction(1, 4)]
+    assert bases[6] == []
+    assert bases[8] == [Fraction(1, 8), Fraction(3, 8)]
+    # a prime level has no relation: every atom stays
+    for q in (2, 3, 5, 7, 11):
+        assert bases[q] == _unit_fractions(q), q
+
+
+def test_gamma_forms_do_not_depend_on_build_order():
+    levels = ", ".join(map(str, GAMMA_LEVELS))
+    dump = (
+        "from fractions import Fraction\n"
+        "from math import gcd\n"
+        "from fracseries.scalar import Scalar\n"
+        "{first}"
+        f"for q in ({levels}):\n"
+        "    for a in range(1, q):\n"
+        "        if gcd(a, q) == 1:\n"
+        "            print(a, q, repr(Scalar.gamma(Fraction(a, q)).num))\n"
+    )
+    src = str(pathlib.Path(fracseries.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = []
+    for first in ("Scalar.gamma(Fraction(1, 12))\n", ""):
+        r = subprocess.run(
+            [sys.executable, "-c", dump.format(first=first)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == sum(len(_unit_fractions(q)) for q in GAMMA_LEVELS)
+
+
+def test_gamma_levels_past_the_limit_keep_their_atoms():
+    # alpha = 0.1234 = 617/5000: building level 5000 would take seconds
+    built = _gamma_level.cache_info().currsize
+    f = Fraction(617, 5000)
+    assert f.denominator > _GAMMA_LEVEL_LIMIT
+    assert _is_basis(f)
+    assert Scalar.gamma(1 + f) == f * Scalar.gamma(f)
+    assert _gamma_level.cache_info().currsize == built
+
+
+def test_multiplication_formula_identities_are_structural():
+    g = Scalar.gamma
+    pi = g(Fraction(1, 2)) ** 2
+    sqrt2 = Scalar.rational_power(2, Fraction(1, 2))
+    # reflection at q = 4, zero only by the multiplication formula
+    assert (g(Fraction(1, 4)) * g(Fraction(3, 4)) - sqrt2 * pi).is_zero()
+    # reflection at q = 6: Gamma(1/6)*Gamma(5/6) = pi/sin(pi/6)
+    assert (g(Fraction(1, 6)) * g(Fraction(5, 6)) - 2 * pi).is_zero()
+    # n = 4 at z = 1/8: Gamma(1/8)Gamma(3/8)Gamma(5/8)Gamma(7/8) = (2pi)^(3/2) Gamma(1/2)
+    eighths = g(Fraction(1, 8)) * g(Fraction(3, 8)) * g(Fraction(5, 8)) * g(Fraction(7, 8))
+    assert (eighths - 2 * sqrt2 * pi ** 2).is_zero()
+    # a prime level is left alone: Gamma(1/3)*Gamma(2/3) = 2pi/sqrt(3) in value only
+    thirds = g(Fraction(1, 3)) * g(Fraction(2, 3)) - 2 * Scalar.rational_power(
+        3, Fraction(-1, 2)) * pi
+    assert abs(thirds.eval()) < 1e-14 and not thirds.is_zero()
 
 
 def test_surd_normalization():

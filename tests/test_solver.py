@@ -449,15 +449,24 @@ def test_residual_detects_corruption(delay_problem, wave_problem, diffusion_prob
         first_fail = next((j for j, ok in verdicts if not ok), None)
         assert first_fail == 3 - prob.m, prob.name
 
-    # zero only by the reflection formula, which the Scalars do not apply:
-    # the residual is not structurally zero, so the verdict is FAIL
+    # zero by the reflection formula, which at q = 4 follows from the
+    # multiplication formula the Scalars apply: structurally zero, so PASS
     g = Scalar.gamma
     reflected = g(Fraction(1, 4)) * g(Fraction(3, 4)) - Scalar.rational_power(
         2, Fraction(1, 2)
     ) * g(Fraction(1, 2)) ** 2
-    assert abs(reflected.eval({})) < 1e-14
+    assert reflected.is_zero()
     sol = solve(diffusion_problem, 6)
-    bad = sol.replace_coeff(3, sol.coeff(3) + Expr.const(reflected))
+    same = sol.replace_coeff(3, sol.coeff(3) + Expr.const(reflected))
+    assert all(ok for _, ok in residual_orders(diffusion_problem, same))
+
+    # zero only by the reflection formula at the prime level 3, where no
+    # relation is applied: not structurally zero, so the verdict is FAIL
+    prime_level = g(Fraction(1, 3)) * g(Fraction(2, 3)) - 2 * Scalar.rational_power(
+        3, Fraction(-1, 2)
+    ) * g(Fraction(1, 2)) ** 2
+    assert abs(prime_level.eval({})) < 1e-14
+    bad = sol.replace_coeff(3, sol.coeff(3) + Expr.const(prime_level))
     verdicts = dict(residual_orders(diffusion_problem, bad))
     assert verdicts[0] and verdicts[1]
     assert not verdicts[2]
