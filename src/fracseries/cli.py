@@ -104,10 +104,13 @@ def _parse_grid(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     points = axes["x"][2] * axes["t"][2]
     if points > _MAX_GRID_POINTS:
         raise _Exit(2, f"grid has {points} points, more than {_MAX_GRID_POINTS}")
-    return tuple(
-        tuple(float(a + i * step) for i in range(n))
-        for a, step, n in (axes["x"], axes["t"])
-    )
+    try:
+        return tuple(
+            tuple(float(a + i * step) for i in range(n))
+            for a, step, n in (axes["x"], axes["t"])
+        )
+    except OverflowError:
+        raise _Exit(2, f"grid values must lie in the double range in '{spec}'")
 
 
 def _override_alpha(prob: Problem, text: str) -> Problem:

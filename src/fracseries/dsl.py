@@ -12,20 +12,24 @@ Files are line-oriented `key = value` with `#` comments:
 Expression grammar (same for ic/rhs/exact/param values, with per-context
 name rules): `^` is right-associative and binds tightest except for the
 delay suffix `@(c*x, c*t)`; then unary minus; then `*` `/`; then `+` `-`.
-Numbers are exact rationals; decimals convert exactly. Functions: exp,
-sinh, cosh, sqrt, and in the rhs also Dx(E[, n]), exptime(c),
-polytime(c0, c1, ...).
+Numbers are exact rationals in the ASCII digits 0-9 (any other digit
+character is an unexpected character); decimals convert exactly.
+Functions: exp, sinh, cosh, sqrt, and in the rhs also Dx(E[, n]),
+exptime(c), polytime(c0, c1, ...).
 
-The rhs is lowered to structured terms at parse time: products are
-flattened, time factors multiply into one Expr read in t, Dx distributes
-over sums, and argument scalings compose multiplicatively. Dx of a product
-stays one factor that holds the product (Dx(psi^2, 2) is a single factor of
-order 2 over psi^2), so the solver forms the product once and differentiates
-its coefficients.
+The rhs is lowered to structured terms at parse time. Every product is
+carried as one triple from the syntax tree to the terms: its x-coefficient,
+its time coefficient (one Expr read in t) and its first-power factors. Dx
+distributes over sums, and argument scalings compose multiplicatively. Dx
+of a product stays one factor that holds the product (Dx(psi^2, 2) is a
+single factor of order 2 over psi^2), so the solver forms the product once
+and differentiates its coefficients.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -60,6 +64,7 @@ class _Tok:
 
 
 _OP_CHARS = frozenset("+-*/^(),@")
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # ASCII digits only: str.isdigit() takes '²'
 
 
 def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Tok]:
@@ -81,18 +86,12 @@ def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Tok]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            lit = text[i:j]
+        num = _NUMBER.match(text, i)
+        if num:
+            lit = num.group()
             toks.append(_Tok("num", lit, ln, cl, Fraction(lit)))
-            cl += j - i
-            i = j
+            cl += len(lit)
+            i = num.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -407,11 +406,16 @@ def _lower_exact(node: tuple, env: _Env):
 
 # -- lowering: right-hand sides --------------------------------------------------------
 #
-# Products are carried as (rational, units) with units one of
-#   ('f', n, xscale, tscale, inner)  a first-power factor (D_x^n B)(xscale*x, tscale*t)
-#                                    with B = psi (inner None) or the RhsOperator inner
-#   ('e', Expr)                      a function of x
-#   ('t', Expr)                      a function of t, not constant
+# A product is one triple (coeff, tcoef, keys): coeff is its x-coefficient, an
+# Expr; tcoef its time coefficient, an Expr read in t that is one or depends on
+# t, because a constant exptime or polytime joins coeff where it is lowered;
+# keys are its first-power factors (n, xscale, tscale, inner), each
+# (D_x^n B)(xscale*x, tscale*t) with B = psi (inner None) or the RhsOperator
+# inner.
+
+_ONE = Expr.one()
+_PSI = (0, Fraction(1), Fraction(1), None)
+
 
 def _contains_special(node: tuple) -> bool:
     tag = node[0]
@@ -430,9 +434,9 @@ def _contains_special(node: tuple) -> bool:
 
 def _cross(lhs: list, rhs: list, pos) -> list:
     out = []
-    for qa, ua in lhs:
-        for qb, ub in rhs:
-            out.append((qa * qb, ua + ub))
+    for ca, ta, ka in lhs:
+        for cb, tb, kb in rhs:
+            out.append((ca * cb, ta * tb, ka + kb))
             if len(out) > _MAX_PRODUCTS:
                 raise ParseError("right-hand side expands to too many terms", *pos)
     return out
@@ -442,32 +446,29 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
     tag, pos = node[0], node[1]
     if not _contains_special(node):
         e = _lower_expr(node, env, "the right-hand side")
-        return [] if e.is_zero() else [(Fraction(1), [("e", e)])]
+        return [] if e.is_zero() else [(e, _ONE, ())]
     if tag == "name":  # psi (plain t was caught by _contains_special -> here)
         if node[2] == "t":
             raise ParseError(
                 "bare 't' is not allowed in the right-hand side; time enters"
                 " through exptime/polytime or @(...) scalings", *pos,
             )
-        return [(Fraction(1), [("f", 0, Fraction(1), Fraction(1), None)])]
+        return [(_ONE, _ONE, (_PSI,))]
     if tag == "neg":
-        return [(-q, u) for q, u in _expand_rhs(node[2], env)]
+        return [(-c, tc, k) for c, tc, k in _expand_rhs(node[2], env)]
     if tag == "add":
         return _expand_rhs(node[2], env) + _expand_rhs(node[3], env)
     if tag == "sub":
-        rhs = [(-q, u) for q, u in _expand_rhs(node[3], env)]
+        rhs = [(-c, tc, k) for c, tc, k in _expand_rhs(node[3], env)]
         return _expand_rhs(node[2], env) + rhs
     if tag == "mul":
         return _cross(_expand_rhs(node[2], env), _expand_rhs(node[3], env), pos)
     if tag == "div":
         den = _lower_scalar(node[3], env, "a divisor")
-        f = den.as_fraction()
-        if f is None:
-            inv = [("e", Expr.const(Scalar.one() / den))]
-            return [(q, u + inv) for q, u in _expand_rhs(node[2], env)]
-        if f == 0:
+        if den.is_zero():
             raise ParseError("division by zero", *node[3][1])
-        return [(q / f, u) for q, u in _expand_rhs(node[2], env)]
+        inv = Scalar.one() / den
+        return [(c.scalar_mul(inv), tc, k) for c, tc, k in _expand_rhs(node[2], env)]
     if tag == "pow":
         e = _const_fraction(node[3], env, "exponent")
         if e.denominator != 1 or e < 0:
@@ -477,7 +478,7 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
             )
         p = int(e)
         if p == 0:
-            return [(Fraction(1), [])]
+            return [(_ONE, _ONE, ())]
         if p > _MAX_PSI_POWER:
             raise ParseError(f"unknown-function power {p} out of range", *pos)
         base = _expand_rhs(node[2], env)
@@ -489,8 +490,9 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
         xs = _extract_scale(node[3], "x")
         ts = _extract_scale(node[4], "t")
         return [
-            (q, [_scale_unit(u, xs, ts) for u in units])
-            for q, units in _expand_rhs(node[2], env)
+            (c.scale_x(xs), tc.scale_x(ts),
+             tuple((n, kx * xs, kt * ts, inner) for n, kx, kt, inner in k))
+            for c, tc, k in _expand_rhs(node[2], env)
         ]
     if tag == "call":
         fname, args = node[2], node[3]
@@ -499,10 +501,9 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
                 tc = Expr.exponential(_lower_scalar(args[0], env, "exptime rate"))
             else:
                 tc = Expr.poly(_lower_scalar(a, env, "polytime coefficient") for a in args)
-            if tc.as_scalar() is None:
-                return [(Fraction(1), [("t", tc)])]
-            # constant in t: just a scalar factor
-            return [] if tc.is_zero() else [(Fraction(1), [("e", tc)])]
+            if tc.as_scalar() is not None:  # constant in t: a factor of coeff
+                return [] if tc.is_zero() else [(tc, _ONE, ())]
+            return [(_ONE, tc, ())]
         if fname == "Dx":
             n = 1
             if len(args) == 2:
@@ -515,52 +516,34 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
                 n = int(f)
                 if n > _MAX_DX_ORDER:
                     raise ParseError(f"derivative order {n} out of range", *args[1][1])
-            return [p for q, units in _expand_rhs(args[0], env) for p in _dx_product(q, units, n)]
+            prods = (_dx_product(p, n) for p in _expand_rhs(args[0], env))
+            return [p for p in prods if p is not None]
         raise _unsupported(fname, pos, "the right-hand side")
     raise _unsupported(tag, pos, "the right-hand side")
 
 
-def _scale_unit(u: tuple, xs: Fraction, ts: Fraction) -> tuple:
-    if u[0] == "f":
-        return ("f", u[1], u[2] * xs, u[3] * ts, u[4])
-    if u[0] == "e":
-        return ("e", u[1].scale_x(xs))
-    return ("t", u[1].scale_x(ts))
+def _dx_product(prod: tuple, n: int) -> Optional[tuple]:
+    """n x-derivatives of one product triple, or None where they vanish.
 
-
-def _dx_product(q: Fraction, units: list, n: int) -> list:
-    """n x-derivatives of one product, as at most one product.
-
-    Time units stay outside, being constant in x; two or more remaining
-    units become one factor that holds their product, with the leading
-    scalar of its coefficient moved outside too, so Dx(2*x*psi) is
-    2*Dx(x*psi) and Dx(2*psi) is 2*Dx(psi). Differentiating
-    (D^n0 B)(xs*x, ts*t) n times adds n to n0 and a factor xs^n.
+    With no factor, the x-coefficient is differentiated. Otherwise the time
+    coefficient and the leading scalar c of the x-coefficient stay outside
+    (Dx(2*x*psi) is 2*Dx(x*psi)); a lone factor (D^n0 B)(xs*x, ts*t) is
+    shifted to D^(n0+n) times xs^n, and anything else is nested as one
+    factor that holds the product, as in Dx(x*psi) or Dx(psi^2).
     """
+    coeff, tcoef, keys = prod
     if n == 0:
-        return [(q, units)]
-    outside = [u for u in units if u[0] == "t"]
-    rest = [u for u in units if u[0] != "t"]
-    if len(rest) > 1:
-        (term,) = _products_to_terms([(Fraction(1), rest)])
-        rest = [("e", term.coeff)]
-        if term.factors:
-            c = term.coeff.terms[0][1][-1]  # Dx commutes with this leading scalar
-            if not c.is_one():
-                outside.append(("e", Expr.const(c)))
-                term = RhsTerm(coeff=term.coeff.scalar_mul(Scalar.one() / c), factors=term.factors)
-            f = term.factors[0]
-            lone = len(term.factors) == 1 and f.power == 1 and term.coeff == Expr.one()
-            rest = [("f", f.n, f.xscale, f.tscale, f.inner) if lone
-                    else ("f", 0, Fraction(1), Fraction(1), RhsOperator(terms=(term,)))]
-    if not rest:
-        return []  # the product is constant in x
-    u = rest[0]
-    if u[0] == "f":
-        _, n0, xs, ts, inner = u
-        return [(q * xs**n, outside + [("f", n0 + n, xs, ts, inner)])]
-    d = u[1].diff_x(n)
-    return [] if d.is_zero() else [(q, outside + [("e", d)])]
+        return prod
+    if not keys:
+        d = coeff.diff_x(n)
+        return None if d.is_zero() else (d, tcoef, ())
+    c = coeff.terms[0][1][-1]  # Dx commutes with this leading scalar
+    rest = coeff.scalar_mul(Scalar.one() / c)
+    if len(keys) == 1 and rest == _ONE:
+        n0, xs, ts, inner = keys[0]
+        return Expr.const(c * xs**n), tcoef, ((n0 + n, xs, ts, inner),)
+    inner = RhsOperator(terms=(RhsTerm(coeff=rest, factors=_factors(keys)),))
+    return Expr.const(c), tcoef, ((n, Fraction(1), Fraction(1), inner),)
 
 
 def _extract_scale(node: tuple, var: str) -> Fraction:
@@ -578,12 +561,8 @@ def _scale_walk(node: tuple, var: str) -> tuple[Fraction, int]:
     tag, pos = node[0], node[1]
     if tag == "num":
         return node[2], 0
-    if tag == "name":
-        if node[2] == var:
-            return Fraction(1), 1
-        raise ParseError(
-            f"scaling must be of the form c*{var} or {var}/c", *pos
-        )
+    if tag == "name" and node[2] == var:
+        return Fraction(1), 1
     if tag == "neg":
         c, d = _scale_walk(node[2], var)
         return -c, d
@@ -604,38 +583,27 @@ def _scale_walk(node: tuple, var: str) -> tuple[Fraction, int]:
     raise ParseError(f"scaling must be of the form c*{var} or {var}/c", *pos)
 
 
+def _factors(keys: tuple) -> tuple[RhsFactor, ...]:
+    """First-power factor keys counted into powers, in canonical order."""
+    # None and a nested operator do not order; their sources do
+    return tuple(
+        RhsFactor(n=n, xscale=xs, tscale=ts, power=p, inner=inner)
+        for (n, xs, ts, inner), p in sorted(
+            Counter(keys).items(),
+            key=lambda kv: (*kv[0][:3], "" if kv[0][3] is None else rhs_to_source(kv[0][3])),
+        )
+    )
+
+
 def _products_to_terms(products: list) -> tuple[RhsTerm, ...]:
-    """Collect expanded products into canonical terms.
+    """Collect product triples into canonical terms.
 
     Products sharing the same factor signature and time coefficient merge by
     adding their x-coefficients; term order is first appearance.
     """
     bucket: dict = {}
-    for q, units in products:
-        coeff = Expr.const(q)
-        tcoef = Expr.one()
-        factor_count: dict[tuple, int] = {}
-        for u in units:
-            if u[0] == "e":
-                coeff = coeff * u[1]
-            elif u[0] == "f":
-                key = u[1:]
-                factor_count[key] = factor_count.get(key, 0) + 1
-            else:
-                tcoef = tcoef * u[1]
-        c = tcoef.as_scalar()
-        if c is not None and not c.is_one():  # exptime(1)*exptime(-1) is constant in t
-            coeff = coeff.scalar_mul(c)
-            tcoef = Expr.one()
-        # None and a nested operator do not order; their sources do
-        factors = tuple(
-            RhsFactor(n=n, xscale=xs, tscale=ts, power=p, inner=inner)
-            for (n, xs, ts, inner), p in sorted(
-                factor_count.items(),
-                key=lambda kv: (*kv[0][:3], "" if kv[0][3] is None else rhs_to_source(kv[0][3])),
-            )
-        )
-        key = (tcoef, factors)
+    for coeff, tcoef, keys in products:
+        key = (tcoef, _factors(keys))
         bucket[key] = bucket[key] + coeff if key in bucket else coeff
     return tuple(
         RhsTerm(coeff=coeff, tcoef=tcoef, factors=factors)
@@ -661,9 +629,7 @@ def parse_exact(text: str, params: Optional[Iterable[str]] = None) -> ExactSolut
 def parse_rhs(text: str, params: Optional[Iterable[str]] = None) -> RhsOperator:
     """Parse a right-hand side into structured terms (no forcing entries)."""
     p = _Parser(_tokenize(text))
-    node = p.parse_full()
-    products = _expand_rhs(node, _Env(params))
-    return RhsOperator(terms=_products_to_terms(products))
+    return RhsOperator(terms=_products_to_terms(_expand_rhs(p.parse_full(), _Env(params))))
 
 
 # problem files -------------------------------------------------------------
@@ -706,7 +672,7 @@ def _split_key(key: str, lineno: int):
             body = parts[1]
         elif len(parts) == 1 and key.startswith(prefix):
             body = key[len(prefix):]
-        if body is not None and body.isdigit():
+        if body is not None and body.isascii() and body.isdigit():
             return prefix, int(body)
     raise ParseError(f"unknown key '{key}'", lineno, 1)
 
@@ -773,8 +739,7 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
                 raise ParseError("order must be a positive integer", lineno, vcol)
             order = int(f)
         elif kind == "rhs":
-            products = _expand_rhs(node, env)
-            rhs_terms = _products_to_terms(products)
+            rhs_terms = _products_to_terms(_expand_rhs(node, env))
         elif kind == "ic":
             ics[extra] = _lower_expr(node, env, "an initial condition")
         elif kind == "forcing":

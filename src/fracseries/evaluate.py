@@ -9,9 +9,8 @@ grid point is then a K-term sum of term * t^(k*alpha) / Gamma(1+k*alpha).
 Where either factor leaves the double range, that term's weight is
 exp(k*alpha*ln t - lgamma(1+k*alpha)) instead, so a value that fits in a
 double is returned even at high order; a NaN or infinite total is an
-EvalError. Error tables compare against a reference: a closed form in x and
-t, a callable, or a flat list of tabulated values in grid order (x outer,
-t inner).
+EvalError. Error tables compare against a reference, the problem's closed
+form in x and t, when one is given.
 """
 
 from __future__ import annotations
@@ -19,19 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional
 
 from .errors import EvalError
 from .gammafn import gamma_real
 from .problems import ExactSolution
 from .solver import SeriesSolution, mittag_leffler_form
-
-Reference = Union[
-    ExactSolution,
-    Callable[[float, float, Mapping[str, float]], float],
-    Sequence[float],
-    None,
-]
 
 
 @dataclass(frozen=True)
@@ -180,48 +172,29 @@ class ErrorTable:
         return max(r.error for r in self.rows)
 
 
-def _resolve_reference(reference: Reference, count: int):
-    """Normalize the reference argument to a per-point callable."""
-    if reference is None:
-        return None, None
-    if isinstance(reference, ExactSolution):
-        return reference.eval, reference.to_source()
-    if callable(reference):
-        return reference, getattr(reference, "__name__", "callable")
-    vals = [float(v) for v in reference]
-    if len(vals) != count:
-        raise EvalError(
-            f"tabulated reference has {len(vals)} values, grid has {count} points"
-        )
-    it = iter(vals)
-    return (lambda x, t, p, _it=it: next(_it)), "tabulated values"
-
-
 def error_table(
     sol: SeriesSolution,
-    reference: Reference,
+    reference: Optional[ExactSolution],
     grid: EvalGrid,
 ) -> ErrorTable:
     """Evaluate on the grid and compare against the reference, if any."""
-    pts = list(grid.points())
-    ref_fn, ref_desc = _resolve_reference(reference, len(pts))
     bind = sol.problem.param_floats(grid.params)
     compiled = _Compiled(sol, grid.params)
     rows = []
-    for xv, tv in pts:
+    for xv, tv in grid.points():
         approx = compiled.at(xv, tv)
-        if ref_fn is None:
+        if reference is None:
             rows.append(TableRow(xv, tv, approx))
         else:
-            refv = float(ref_fn(xv, tv, bind))
+            refv = reference.eval(xv, tv, bind)
             rows.append(TableRow(xv, tv, approx, refv, abs(approx - refv)))
     return ErrorTable(
         problem=sol.problem.name,
         order=sol.order,
         alpha=str(sol.problem.alpha),
         rows=tuple(rows),
-        has_reference=ref_fn is not None,
-        reference_desc=ref_desc,
+        has_reference=reference is not None,
+        reference_desc=None if reference is None else reference.to_source(),
     )
 
 

@@ -97,17 +97,6 @@ class RhsOperator:
             for t in self.terms
         )
 
-    def free_params(self) -> set[str]:
-        names: set[str] = set()
-        for t in self.terms:
-            names |= t.coeff.free_params()
-            names |= t.tcoef.free_params()
-            for f in t.factors:
-                names |= f.inner.free_params() if f.inner is not None else set()
-        for _, e in self.forcing:
-            names |= e.free_params()
-        return names
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -195,11 +184,6 @@ class ExactSolution:
             raise EvalError(f"reference evaluation produced {v} at x={x}, t={t}")
         return float(v)
 
-    def free_params(self) -> set[str]:
-        out: set[str] = set()
-        _xt_params(self.node, out)
-        return out
-
     def to_source(self) -> str:
         return self.source
 
@@ -261,16 +245,3 @@ def _xt_compile(node: tuple) -> Callable[[float, float, Mapping[str, float]], fl
     if tag == "div":
         return lambda x, t, p: a(x, t, p) / b(x, t, p)
     return lambda x, t, p: a(x, t, p) ** b(x, t, p)
-
-
-def _xt_params(node: tuple, out: set) -> None:
-    tag = node[0]
-    if tag == "param":
-        out.add(node[1])
-    elif tag in ("neg",):
-        _xt_params(node[1], out)
-    elif tag == "call":
-        _xt_params(node[2], out)
-    elif tag in ("add", "sub", "mul", "div", "pow"):
-        _xt_params(node[1], out)
-        _xt_params(node[2], out)

@@ -380,6 +380,15 @@ _KG_PARAMS = ("--param", "nu=1", "--param", "omega=1", "--param", "lambda=0.5")
     pytest.param(("kolmogorov", "table", "--grid", "x=0:1:0.5 t=0:1:0.5",
                   "--param", "nu=-inf"), "--param nu: '-inf' is not finite",
                  id="table-param-unused"),
+    pytest.param(("kolmogorov", "table", "--grid", "x=1e400 t=0"),
+                 "grid values must lie in the double range in 'x=1e400 t=0'",
+                 id="table-grid-x-huge"),
+    pytest.param(("kolmogorov", "table", "--grid", "x=0 t=1e400"),
+                 "grid values must lie in the double range in 'x=0 t=1e400'",
+                 id="table-grid-t-huge"),
+    pytest.param(("kolmogorov", "table", "--grid", "x=0:1e400:1e399 t=0"),
+                 "grid values must lie in the double range in 'x=0:1e400:1e399 t=0'",
+                 id="table-grid-range-huge"),
 ])
 def test_non_finite_flag_is_2_before_solving(capsys, problems_dir, argv, message):
     name, cmd, *rest = argv

@@ -158,6 +158,14 @@ def test_rhs_time_coefficients():
     (term5,) = parse_rhs("polytime(0,1)*exptime(1)*psi").terms
     assert term5.tcoef == Expr.x() * Expr.exponential(1)
     assert rhs_to_source(RhsOperator(terms=(term5,))) == "polytime(0,1)*exptime(1)*psi"
+    # a factor constant in t joins the x-coefficient beside a real time factor
+    rhs6 = parse_rhs("polytime(5)*exptime(1)*psi")
+    assert rhs6 == parse_rhs("5*exptime(1)*psi")
+    assert rhs_to_source(rhs6) == "5*exptime(1)*psi"
+    assert rhs_to_source(parse_rhs("Dx(polytime(5)*exptime(1)*x*psi)")) == (
+        "5*exptime(1)*Dx(x*psi)"
+    )
+    assert rhs_to_source(parse_rhs("exptime(0)*polytime(0,1)*psi")) == "polytime(0,1)*psi"
 
 
 def test_rhs_merges_exptime_rates():
@@ -369,6 +377,20 @@ def test_malformed_inputs_report_positions(malformed_dir, name, line, col, fragm
     e = err.value
     assert e.line == line and e.col == col, str(e)
     assert fragment in e.message, str(e)
+
+
+@pytest.mark.parametrize("text, col, fragment", [
+    ("ic0 = 2*\u00b2", 9, "unexpected character '\u00b2'"),  # superscript two
+    ("ic0 = \u0663*x", 7, "unexpected character '\u0663'"),  # Arabic-Indic three
+    ("ic\u00b2 = x", 1, "unknown key 'ic\u00b2'"),
+    ("ic\u0663 = x", 1, "unknown key 'ic\u0663'"),
+])
+def test_only_ascii_digits_are_numbers(text, col, fragment):
+    # str.isdigit() holds for these; they must not become numbers or indices
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"name = p\nalpha = 1\norder = 1\n{text}\nrhs = psi\n")
+    e = err.value
+    assert (e.line, e.col) == (4, col) and e.message == fragment, str(e)
 
 
 def test_error_message_includes_position_text():

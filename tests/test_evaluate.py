@@ -139,19 +139,6 @@ def test_pretty_table_layout(diffusion_problem):
     assert lines[2].split() == ["x", "t", "approx", "reference", "abs_error"]
 
 
-def test_tabulated_and_callable_references(diffusion_problem):
-    sol = solve(diffusion_problem, 6)
-    grid = EvalGrid(xs=(0.0, 0.5), ts=(0.25,))
-    base = error_table(sol, None, grid)
-    vals = [r.approx for r in base.rows]
-    tab = error_table(sol, vals, grid)
-    assert all(r.error == 0.0 for r in tab.rows)
-    cal = error_table(sol, lambda x, t, p: (x + 1) * math.exp(t), grid)
-    assert all(r.error < 1e-7 for r in cal.rows)  # K=6 tail at t=0.25
-    with pytest.raises(EvalError):
-        error_table(sol, [1.0], grid)  # wrong length
-
-
 def test_seventeen_digit_export(diffusion_problem):
     sol = solve(diffusion_problem, 5)
     grid = EvalGrid(xs=(1.0 / 3.0,), ts=(2.0 / 3.0,))
