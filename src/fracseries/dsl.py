@@ -28,6 +28,7 @@ and differentiates its coefficients.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -249,6 +250,19 @@ class _Env:
 
     def __init__(self, params: Optional[Iterable[str]] = None):
         self.params = None if params is None else set(params)
+        # product of the exponents of the powers whose bases are being lowered
+        # (each counted as at least 1), so that a power of an x-dependent base
+        # is bounded together with the powers around it
+        self.power = Fraction(1)
+
+    @contextlib.contextmanager
+    def inside_power(self, e: Fraction):
+        outer = self.power
+        self.power = outer * max(abs(e), 1)
+        try:
+            yield
+        finally:
+            self.power = outer
 
     def check_param(self, name: str, pos) -> None:
         if name in _ALL_BUILTIN:
@@ -343,7 +357,8 @@ def _scalar_pow(base: Scalar, e: Fraction, pos) -> Scalar:
 def _lower_pow(node: tuple, env: _Env, where: str) -> Expr:
     _, pos, base_node, exp_node = node
     e = _const_fraction(exp_node, env, "exponent")
-    base = _lower_expr(base_node, env, where)
+    with env.inside_power(e):
+        base = _lower_expr(base_node, env, where)
     s = base.as_scalar()
     if s is not None:
         return Expr.const(_scalar_pow(s, e, pos))
@@ -352,8 +367,10 @@ def _lower_pow(node: tuple, env: _Env, where: str) -> Expr:
             "power of an x-dependent expression must be a nonnegative integer",
             *pos,
         )
-    if e > _MAX_X_POWER:
-        raise ParseError(f"exponent {e} out of supported range", *pos)
+    total = e * env.power
+    if total > _MAX_X_POWER:
+        nested = "" if total == e else f" (nested in powers: {total})"
+        raise ParseError(f"exponent {e}{nested} out of supported range", *pos)
     return base ** int(e)
 
 
@@ -481,7 +498,8 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
             return [(_ONE, _ONE, ())]
         if p > _MAX_PSI_POWER:
             raise ParseError(f"unknown-function power {p} out of range", *pos)
-        base = _expand_rhs(node[2], env)
+        with env.inside_power(e):
+            base = _expand_rhs(node[2], env)
         acc = base
         for _ in range(p - 1):
             acc = _cross(acc, base, pos)

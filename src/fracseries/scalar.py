@@ -25,7 +25,11 @@ argument is the one shared instance of its value (a private Fraction
 subclass that stores its hash), so signatures hash and compare without
 entering Fraction.__hash__ or Fraction.__eq__, and the signature half of
 a monomial product is memoized. Every division goes through Fraction, so
-no coefficient is ever a float. Denominators equal to 1 share one
+no coefficient is ever a float. A product of two monomial sums is computed
+in int arithmetic: each operand is brought to int numerators over one
+common denominator, the pair products accumulate as ints, and each result
+coefficient is put in lowest terms once, so the stored form above is the
+same as with Fraction arithmetic. Denominators equal to 1 share one
 unit-sum tuple, and sums and products of such Scalars skip the quotient
 normalization. Adding zero, multiplying by zero and multiplying by one
 return an operand (or the zero Scalar) without arithmetic.
@@ -193,8 +197,14 @@ _SIG_MUL_CACHE_SIZE = 16384
 
 
 @functools.lru_cache(maxsize=_SIG_MUL_CACHE_SIZE)
-def _sig_mul(sig_a: Sig, sig_b: Sig) -> tuple[Sig, Coeff]:
-    """The signature of a product of two monomials and its rational factor."""
+def _sig_mul(sig_a: Sig, sig_b: Sig) -> tuple[Sig, int]:
+    """The signature of a product of two monomials and its integer factor.
+
+    The factor is always an int, which _sum_mul's integer arithmetic relies
+    on: normalized prime-atom exponents lie in (0, 1), so a sum of two lies
+    in (0, 2) and carries p^0 or p^1 out of the atom; Gamma and parameter
+    atoms carry nothing.
+    """
     exps: dict[Atom, int | Fraction] = dict(sig_a)
     for atom, e in sig_b:
         exps[atom] = exps.get(atom, 0) + e
@@ -339,25 +349,43 @@ def _gamma_level(q: int) -> dict[Fraction, tuple[Sig, Coeff]]:
 def _sum_add(a, b) -> dict[Sig, Coeff]:
     out = dict(a)
     for sig, c in b:
-        nc = out.get(sig, 0) + c
+        old = out.get(sig)
+        if old is None:
+            out[sig] = c
+            continue
+        nc = old + c
         if nc:
             out[sig] = _demote(nc)
         else:
-            out.pop(sig, None)
+            del out[sig]
     return out
+
+
+def _over_common_den(a) -> tuple:
+    """The sum a as (sig, int) pairs over one positive int denominator d."""
+    d = math.lcm(*[c.denominator for _, c in a])
+    if d == 1:
+        return a, 1
+    return [(sig, c.numerator * (d // c.denominator)) for sig, c in a], d
 
 
 def _sum_mul(a, b) -> dict[Sig, Coeff]:
-    out: dict[Sig, Coeff] = {}
+    a, da = _over_common_den(a)
+    b, db = _over_common_den(b)
+    acc: dict[Sig, int] = {}
     for sig_a, ca in a:
         for sig_b, cb in b:
-            sig, c = _mono_mul(sig_a, ca, sig_b, cb)
-            nc = out.get(sig, 0) + c
-            if nc:
-                out[sig] = _demote(nc)
-            else:
-                out.pop(sig, None)
-    return out
+            if sig_a and sig_b:
+                sig, mult = _sig_mul(sig_a, sig_b)
+                acc[sig] = acc.get(sig, 0) + ca * cb * mult
+            else:  # a normalized signature times a constant
+                sig = sig_a or sig_b
+                acc[sig] = acc.get(sig, 0) + ca * cb
+    d = da * db
+    if d == 1:
+        return {sig: n for sig, n in acc.items() if n}
+    # lowest terms once per result coefficient: Fraction's one gcd
+    return {sig: n // d if n % d == 0 else Fraction(n, d) for sig, n in acc.items() if n}
 
 
 _ONE_SUM: tuple = (((), 1),)
@@ -395,12 +423,7 @@ class Scalar:
             return _ZERO_SCALAR
         if len(den) == 1:
             (dsig, dc), = den.items()
-            inv_sig, inv_c = _mono_inv(dsig, dc)
-            folded: dict[Sig, Coeff] = {}
-            for sig, c in num.items():
-                s2, c2 = _mono_mul(sig, c, inv_sig, inv_c)
-                folded[s2] = folded.get(s2, 0) + c2
-            num = {s: _demote(c) for s, c in folded.items() if c}
+            num = _sum_mul(num.items(), (_mono_inv(dsig, dc),))
             if not num:
                 return _ZERO_SCALAR
             return Scalar(tuple(sorted(num.items())), _ONE_SUM, _raw=True)

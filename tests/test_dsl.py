@@ -1,6 +1,7 @@
 """Problem-file grammar: round trips, precedence, diagnostics, fuzz."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -391,6 +392,38 @@ def test_only_ascii_digits_are_numbers(text, col, fragment):
         parse_problem(f"name = p\nalpha = 1\norder = 1\n{text}\nrhs = psi\n")
     e = err.value
     assert (e.line, e.col) == (4, col) and e.message == fragment, str(e)
+
+
+@pytest.mark.parametrize("power", ["((((cosh(2*x))^3)^13)^3)^13", "((cosh(x))^40)^40"])
+@pytest.mark.parametrize("line", [
+    "ic0 = {}", "param k = {}", "forcing 1 = {}", "rhs = Dx(psi) + {}*psi",
+])
+def test_nested_powers_are_bounded_before_expanding(power, line):
+    # the exponents multiply (1521 and 1600 here); the bound on one power of
+    # an x-dependent base holds for the product, checked before any expansion
+    lines = {"ic0": "x", "rhs": "Dx(psi)"}
+    key, _, value = line.format(power).partition(" = ")
+    lines[key] = value
+    text = "name = p\nalpha = 1/2\norder = 1\n" + "".join(
+        f"{k} = {v}\n" for k, v in lines.items())
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert time.perf_counter() - start < 1.0
+    e = err.value
+    assert e.line == list(lines).index(key) + 4 and e.col is not None, str(e)
+    assert "nested in powers" in e.message and "out of supported range" in e.message
+
+
+def test_nested_powers_within_the_bound_expand():
+    assert parse_expr("(x^9)^11") == parse_expr("x^99")
+    assert parse_expr("((cosh(x))^3)^0") == Expr.one()
+    assert len(parse_expr("(cosh(x)^9)^11").terms) == 100
+    with pytest.raises(ParseError, match=r"exponent 10 \(nested in powers: 100\)"):
+        parse_expr("(x^10)^10")
+    with pytest.raises(ParseError, match=r"exponent 9 \(nested in powers: 108\)"):
+        parse_rhs("(x^9*psi)^12")
+    assert parse_rhs("(x^9*psi)^11") == parse_rhs("x^99*psi^11")
 
 
 def test_error_message_includes_position_text():

@@ -22,7 +22,10 @@ from fracseries.scalar import (
     Scalar,
     _gamma_level,
     _intern,
+    _normalize_exponents,
     _sig_mul,
+    _sum_add,
+    _sum_mul,
 )
 from fracseries.solver import apply_rhs, residual_series, solve
 
@@ -274,6 +277,109 @@ def test_surd_products_cancel():
     assert (r * r * r * r).as_fraction() == 4
     inv = Scalar.rational_power(2, Fraction(-1, 2))
     assert (r * inv).is_one()
+
+
+def _random_sig(rng):
+    """A normalized signature: prime atoms at several exponent denominators,
+    Gamma atoms with int exponents, parameters with int or fractional ones."""
+    exps = {}
+    for p in rng.sample((2, 3, 5, 7), rng.randrange(3)):
+        exps[("r", p)] = Fraction(rng.randrange(1, 13), rng.choice((2, 3, 4, 5, 6, 12)))
+    for _ in range(rng.randrange(2)):
+        exps[("g", _intern(Fraction(rng.randrange(1, 5), 5)))] = rng.choice((-2, -1, 1, 2))
+    for name in rng.sample("ab", rng.randrange(3)):
+        exps[("p", name)] = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3)))
+    return _normalize_exponents(exps)[0]
+
+
+def test_signature_product_factor_is_an_int():
+    # prime-atom exponents lie in (0, 1), so the product of two signatures
+    # carries p^0 or p^1 out of each prime atom and nothing out of the others
+    rng = random.Random(106)
+    sigs = [_random_sig(rng) for _ in range(80)]
+    carried = 0
+    for sig_a in sigs:
+        for sig_b in sigs:
+            if sig_a and sig_b:
+                _, mult = _sig_mul(sig_a, sig_b)
+                assert type(mult) is int, (sig_a, sig_b, mult)
+                carried += mult != 1
+    assert carried > 300
+
+
+def _ref_sum_add(a, b):
+    out = {}
+    for sig, c in (*a, *b):
+        out[sig] = out.get(sig, 0) + Fraction(c)
+    return {sig: c for sig, c in out.items() if c}
+
+
+def _ref_sum_mul(a, b):
+    """Monomial-sum product in plain Fraction arithmetic, normalizing each
+    product signature itself."""
+    out = {}
+    for sig_a, ca in a:
+        for sig_b, cb in b:
+            exps = dict(sig_a)
+            for atom, e in sig_b:
+                exps[atom] = exps.get(atom, 0) + e
+            c = Fraction(ca) * Fraction(cb)
+            items = []
+            for atom, e in exps.items():
+                if atom[0] == "r":
+                    whole = math.floor(e)
+                    c *= Fraction(atom[1]) ** whole
+                    e -= whole
+                if e:
+                    items.append((atom, e))
+            sig = tuple(sorted(items))
+            out[sig] = out.get(sig, 0) + c
+    return {sig: c for sig, c in out.items() if c}
+
+
+def _random_sum(rng, pool):
+    """Canonical monomial-sum items: nonzero coefficients, int when integral."""
+    out = {}
+    for sig in rng.sample(pool, rng.choice((0, 1, 1, 2, 3, 5, 8))):
+        c = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 40), rng.choice((1, 1, 2, 3, 4, 9, 10)))
+        out[sig] = c.numerator if c.denominator == 1 else c
+    return tuple(out.items())
+
+
+def _as_scalar(monos):
+    return Scalar(tuple(sorted(monos.items())), _ONE_SUM, _raw=True)
+
+
+def test_sum_products_match_fraction_reference():
+    rng = random.Random(107)
+    pool = [()] + [_random_sig(rng) for _ in range(12)]
+    two_1_2 = ((("r", 2), _intern(Fraction(1, 2))),)
+    two_1_4 = ((("r", 2), _intern(Fraction(1, 4))),)
+    fixed = [
+        ((two_1_2, 1), ((), Fraction(1, 3))),  # (2^(1/2) + 1/3)(2^(1/2) - 1/3) = 2 - 1/9
+        ((two_1_2, 1), ((), Fraction(-1, 3))),
+        ((two_1_4, Fraction(3, 2)),),  # one monomial
+        ((two_1_4, 6), (two_1_2, 5)),  # squared, 2^(1/2) * 2^(1/2) carries a 2
+    ]
+    cases = [(fixed[0], fixed[1]), (fixed[2], fixed[2]), (fixed[2], fixed[3]), (fixed[3], fixed[3])]
+    cases += [(_random_sum(rng, pool), _random_sum(rng, pool)) for _ in range(400)]
+    nonempty = 0
+    for a, b in cases:
+        for got, want in ((_sum_mul(a, b), _ref_sum_mul(a, b)),
+                          (_sum_add(a, b), _ref_sum_add(a, b))):
+            assert got == want, (a, b)
+            _assert_coeff_types(_as_scalar(got))
+        # a product minus itself, formed from the negated operand, cancels
+        neg_a = tuple((sig, -c) for sig, c in a)
+        diff = _sum_add(_sum_mul(a, b), _sum_mul(neg_a, b).items())
+        assert diff == _ref_sum_add(_ref_sum_mul(a, b).items(), _ref_sum_mul(neg_a, b).items()) == {}
+        nonempty += bool(_sum_mul(a, b))
+    assert _sum_mul(*cases[0]) == {(): Fraction(17, 9)}
+    assert _sum_mul(*cases[1]) == {two_1_2: Fraction(9, 4)}
+    two_3_4 = ((("r", 2), _intern(Fraction(3, 4))),)
+    assert _sum_mul(*cases[2]) == {two_1_2: 9, two_3_4: Fraction(15, 2)}
+    assert _sum_mul(*cases[3]) == {(): 50, two_1_2: 36, two_3_4: 60}
+    assert nonempty > 200
 
 
 def test_zero_detection_requires_cancellation():
