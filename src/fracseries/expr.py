@@ -207,9 +207,12 @@ class Expr:
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int) or n < 0:
             raise ExprError(f"expression power must be a non-negative integer, got {n!r}")
-        acc = Expr.one()
-        for _ in range(n):
-            acc = acc * self
+        acc, base = Expr.one(), self
+        while n:  # by squaring, as Scalar.__pow__
+            if n & 1:
+                acc = acc * base
+            base = base * base if n > 1 else base
+            n >>= 1
         return acc
 
     # -- calculus -------------------------------------------------------------

@@ -15,24 +15,32 @@ exponents. Three atom kinds exist:
   2^(-1/2) normalizes to the monomial (1/2) * 2^(1/2).
 
 The representation is canonical: coefficients in lowest terms, zero terms
-absent, monomials sorted, prime-atom exponents in (0, 1), denominators
-normalized to leading coefficient one with common monomial content
-cancelled. The zero Scalar is the unique empty numerator. Integral
-exponents and integral coefficients are ints, everything else a Fraction;
-an int equals and hashes like the Fraction of its value, so this changes
-no comparison or printed form. Every non-integral exponent and Gamma
-argument is the one shared instance of its value (a private Fraction
-subclass that stores its hash), so signatures hash and compare without
-entering Fraction.__hash__ or Fraction.__eq__, and the signature half of
-a monomial product is memoized. Every division goes through Fraction, so
-no coefficient is ever a float. A product of two monomial sums is computed
-in int arithmetic: each operand is brought to int numerators over one
-common denominator, the pair products accumulate as ints, and each result
-coefficient is put in lowest terms once, so the stored form above is the
-same as with Fraction arithmetic. Denominators equal to 1 share one
-unit-sum tuple, and sums and products of such Scalars skip the quotient
-normalization. Adding zero, multiplying by zero and multiplying by one
+absent, prime-atom exponents in (0, 1), denominators normalized to leading
+coefficient one with common monomial content cancelled. The zero Scalar is
+the unique empty numerator. Every division goes through Fraction, so no
+coefficient is ever a float.
+
+Stored form. The product of atom powers of a monomial (its signature) is
+interned in a process-wide table and named by a small int id, 0 for the
+empty signature. Each of num and den is a tuple of (signature id, int
+numerator) pairs sorted by id, over one positive int denominator (nd, dd)
+whose gcd with the numerators is 1; a denominator equal to 1 is the shared
+unit sum over 1. A product of two monomial sums is then a loop of int
+products and lookups in a bounded table of signature products, which
+carries the prime atoms' integer parts out as an int factor; a sum adds
+ints after one lcm rescale; hashing, equality and sorting compare ints.
+Sums and products of Scalars with denominator 1 skip the quotient
+normalization, and adding zero, multiplying by zero and multiplying by one
 return an operand (or the zero Scalar) without arithmetic.
+
+Ids depend on the order in which a process first met its signatures, so
+nothing that must not depend on it reads them. The canonical order of
+monomials sorts their decoded signatures, tuples of (atom, exponent) pairs
+with an integral exponent an int and any other a Fraction: it sets the
+printed order, the order of float operations in eval, the sign
+leading_coeff_negative reports, and which denominator monomial is scaled
+to 1. A Scalar pickles as its decoded sums, so a pickle is independent of
+the process that wrote it.
 
 Gamma atoms follow Gauss's multiplication formula (DLMF 5.5.6),
 prod_{j<n} Gamma(z + j/n) = (2pi)^((n-1)/2) n^(1/2 - n z) Gamma(n z), which
@@ -57,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import EvalError, ScalarError
 from .gammafn import gamma_real
@@ -67,11 +75,11 @@ from .gammafn import gamma_real
 #   ('p', str name)       named parameter
 #   ('r', int prime)      prime base with fractional exponent
 Atom = tuple
-# A signature is a sorted tuple of (atom, exponent) pairs with exponents != 0;
-# an integral exponent is an int (hashed far faster than, and equal to, the
-# Fraction of the same value), a non-integral one an interned _Q.
+# A decoded signature is a tuple of (atom, exponent) pairs sorted by atom,
+# with exponents != 0, an integral one an int and any other a Fraction.
 Sig = tuple
-# A monomial coefficient: an int when integral, else a Fraction (see _demote).
+# A monomial coefficient outside the stored sums: an int when integral, else
+# a Fraction (see _demote).
 Coeff = Union[int, Fraction]
 
 _ZERO = Fraction(0)
@@ -103,101 +111,108 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-class _Q(Fraction):
-    """The one shared instance of a non-integral rational in a signature.
-
-    Made only by _intern, so two _Q are equal exactly when they are
-    the same object. The hash is computed once; against another _Q,
-    equality is identity and order one integer cross-multiplication, and
-    against any other number both fall back to Fraction. A _Q therefore
-    compares, hashes, orders and prints like the Fraction of its value,
-    while tuple comparison and dict lookup on signatures short-circuit on
-    identity. Fraction arithmetic on a _Q returns a plain Fraction.
-    """
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if type(other) is _Q:
-            return self is other
-        return Fraction.__eq__(self, other)
-
-    def __lt__(self, other):
-        if type(other) is _Q:
-            return self._numerator * other._denominator < other._numerator * self._denominator
-        return Fraction.__lt__(self, other)
-
-    def __repr__(self):
-        return f"Fraction({self._numerator}, {self._denominator})"
-
-    # pickling re-interns; copies are the instance itself
-    def __reduce__(self):
-        return _intern, (Fraction(self),)
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-
-# Process-wide, as identity must be, and never pruned: it holds one entry per
-# distinct Gamma argument or exponent (52 over the whole Tier-1 suite, whose
-# basis tests build every Gamma level up to 12; 24 without them).
-_INTERNED: dict[tuple[int, int], _Q] = {}
-
-
-def _intern(q: Fraction) -> _Q:
-    """The shared _Q of the non-integral rational q, made on first use."""
-    if type(q) is _Q:
-        return q
-    key = (q.numerator, q.denominator)
-    shared = _INTERNED.get(key)
-    if shared is None:
-        shared = Fraction.__new__(_Q, *key)
-        shared._hash = Fraction.__hash__(shared)
-        shared = _INTERNED.setdefault(key, shared)
-    return shared
-
-
 def _demote(q: Coeff) -> Coeff:
     """An integral Fraction as its int numerator; anything else unchanged."""
     return q.numerator if q.denominator == 1 else q
 
 
-def _normalize_exponents(exps: dict[Atom, int | Fraction]) -> tuple[Sig, Coeff]:
-    """Drop zero exponents, store integral ones as int, pull integer parts of
-    prime-atom powers into a rational multiplier, and return a sorted
-    signature."""
+# Atoms by index, with the prime of each prime atom (0 for the other kinds)
+# and a sort key (see _sort_key). Process-wide and never pruned, as stored
+# signatures name atoms by index.
+_ATOMS: list[Atom] = []
+_ATOM_IDS: dict[Atom, int] = {}
+_PRIMES: list[int] = []
+_ATOM_KEYS: list[tuple] = []
+
+
+def _atom_id(atom: Atom) -> int:
+    i = _ATOM_IDS.get(atom)
+    if i is None:
+        i = _ATOM_IDS[atom] = len(_ATOMS)
+        _ATOMS.append(atom)
+        _PRIMES.append(atom[1] if atom[0] == "r" else 0)
+        _ATOM_KEYS.append(("g", float(atom[1]), atom[1]) if atom[0] == "g" else atom)
+    return i
+
+
+# A signature's key is a tuple of (atom index, exponent numerator, exponent
+# denominator) triples sorted by atom index: exponents nonzero and in lowest
+# terms, prime-atom exponents in (0, 1). Its id is its index in _SIG_KEYS.
+# Process-wide and never pruned, as a stored Scalar may name any id: one
+# entry per distinct signature formed, 3,805 after the Tier-1 suite, 190 in a
+# delay-sweep benchmark process, 4,809 after burgers-delay at alpha 2/7,
+# K = 14 (solve and residual check) and 10,911 at K = 16.
+_SIG_KEYS: list[tuple] = [()]
+_SIG_IDS: dict[tuple, int] = {(): 0}
+
+
+def _intern_sig(exps: dict[int, tuple[int, int]]) -> tuple[int, Coeff]:
+    """The id of the signature with these exponents (atom index -> (numerator,
+    denominator) in lowest terms, zeros allowed) and the rational it carries
+    out of prime atoms whose exponents leave (0, 1)."""
     mult = 1
-    items = []
-    for atom, e in exps.items():
-        if not e:
-            continue
-        if atom[0] == "r":
-            whole = e.numerator // e.denominator
-            frac = e - whole
-            if whole:
-                mult *= Fraction(atom[1]) ** whole
-            if frac:
-                items.append((atom, _intern(frac)))
-        else:
-            items.append((atom, _intern(e) if e.denominator != 1 else int(e)))
-    items.sort()
-    return tuple(items), _demote(mult)
+    key = []
+    for a in sorted(exps):
+        n, d = exps[a]
+        p = _PRIMES[a]
+        if p and not 0 <= n < d:
+            whole = n // d
+            n -= whole * d
+            mult *= p**whole if whole > 0 else Fraction(1, p**-whole)
+        if n:
+            key.append((a, n, d))
+    key = tuple(key)
+    k = _SIG_IDS.get(key)
+    if k is None:
+        k = _SIG_IDS[key] = len(_SIG_KEYS)
+        _SIG_KEYS.append(key)
+    return k, mult
 
 
-# Distinct signature pairs multiplied by solve plus residual_orders: at most
-# 405 per benchmark case (530 in one delay-sweep process), 11,319 for
-# burgers-delay at alpha 2/7, K = 12.
-_SIG_MUL_CACHE_SIZE = 16384
+def _encode(exps: Mapping[Atom, int | Fraction]) -> tuple[int, Coeff]:
+    """The id of the signature prod atom^e and its carried rational."""
+    return _intern_sig({_atom_id(atom): (e.numerator, e.denominator) for atom, e in exps.items()})
 
 
-@functools.lru_cache(maxsize=_SIG_MUL_CACHE_SIZE)
-def _sig_mul(sig_a: Sig, sig_b: Sig) -> tuple[Sig, int]:
+@functools.cache
+def _rational(n: int, d: int) -> Fraction:
+    """The one Fraction n/d (in lowest terms) that decoded signatures share."""
+    return Fraction(n, d)
+
+
+def _atom_order(k: int) -> list[tuple[int, int, int]]:
+    """The key triples of signature k in the order of their atoms."""
+    return sorted(_SIG_KEYS[k], key=lambda t: _ATOM_KEYS[t[0]])
+
+
+# The two caches below hold one entry per id they have seen, so they grow
+# with _SIG_KEYS and no faster.
+
+@functools.cache
+def _decoded(k: int) -> Sig:
+    """The signature of id k as sorted (atom, exponent) pairs."""
+    return tuple((_ATOMS[a], n if d == 1 else _rational(n, d)) for a, n, d in _atom_order(k))
+
+
+@functools.cache
+def _sort_key(k: int) -> tuple:
+    """A key that orders ids as their decoded signatures do, in C comparisons.
+
+    Each rational r (an exponent, a Gamma argument) is written (float(r), r).
+    Rounding is monotone, so unequal floats order as their rationals do and
+    only equal floats fall through to r; equal atoms and equal exponents are
+    shared objects, which compare by identity.
+    """
+    return tuple((_ATOM_KEYS[a], n / d, n if d == 1 else _rational(n, d))
+                 for a, n, d in _atom_order(k))
+
+
+def _canonical(item: tuple[int, int]) -> tuple:
+    """Sort key of a stored (id, numerator) pair in the canonical order."""
+    return _sort_key(item[0])
+
+
+def _sig_mul(ka: int, kb: int) -> tuple[int, int]:
     """The signature of a product of two monomials and its integer factor.
 
     The factor is always an int, which _sum_mul's integer arithmetic relies
@@ -205,39 +220,118 @@ def _sig_mul(sig_a: Sig, sig_b: Sig) -> tuple[Sig, int]:
     in (0, 2) and carries p^0 or p^1 out of the atom; Gamma and parameter
     atoms carry nothing.
     """
-    exps: dict[Atom, int | Fraction] = dict(sig_a)
-    for atom, e in sig_b:
-        exps[atom] = exps.get(atom, 0) + e
-    return _normalize_exponents(exps)
+    exps = {a: (n, d) for a, n, d in _SIG_KEYS[ka]}
+    for a, n, d in _SIG_KEYS[kb]:
+        old = exps.get(a)
+        if old is not None:
+            n0, d0 = old
+            if d0 == d:
+                n += n0
+            else:
+                n, d = n0 * d + n * d0, d0 * d
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+        exps[a] = (n, d)
+    return _intern_sig(exps)
 
 
-def _mono_mul(sig_a: Sig, ca: Coeff, sig_b: Sig, cb: Coeff) -> tuple[Sig, Coeff]:
-    if not sig_a or not sig_b:  # a normalized signature times a constant
-        return sig_a or sig_b, _demote(ca * cb)
-    sig, mult = _sig_mul(sig_a, sig_b)
-    return sig, _demote(ca * cb * mult)
+# _PRODUCTS[a][b] is _sig_mul(a, b) for nonempty signatures a and b. The
+# table is cleared whole when it holds _PRODUCTS_LIMIT entries. Distinct
+# pairs multiplied in one process: 564 by a delay-sweep benchmark run, 175 by
+# wave-params, none by dense-grid (no atoms), 2,778 by the whole Tier-1 suite,
+# and by burgers-delay at alpha 2/7 (solve plus residual check) 11,319 at
+# K = 12, 36,622 at K = 14 and 127,434 at K = 16. An entry costs about 115
+# bytes of resident memory; a limit of 65,536 cleared the table at K = 16
+# and took that solve from 1.6-1.9 + 1.0-1.1 s to 2.4 + 2.2-2.3 s.
+_PRODUCTS_LIMIT = 1 << 17
+_PRODUCTS: dict[int, dict[int, tuple[int, int]]] = {}
+_products_stored = 0
 
 
-def _mono_inv(sig: Sig, c: Coeff) -> tuple[Sig, Coeff]:
-    exps = {atom: -e for atom, e in sig}
-    new_sig, mult = _normalize_exponents(exps)
-    return new_sig, _demote(Fraction(mult) / c)  # int / int would be a float
+def _clear_products() -> None:
+    global _products_stored
+    _PRODUCTS.clear()
+    _products_stored = 0
 
 
-def _mono_pow(sig: Sig, c: Coeff, e: Fraction) -> tuple[Sig, Coeff]:
-    exps = {atom: ae * e for atom, ae in sig}
-    sig2, mult = _normalize_exponents(exps)
-    csig, cval = _rational_power(c, e)
-    sig3, mult2 = _mono_mul(sig2, mult, csig, cval)
-    return sig3, mult2
+def _stored_product(ka: int, kb: int, row: dict) -> tuple[int, int]:
+    """_sig_mul(ka, kb), stored in row, the table's row of ka (dropped with
+    the rest when the table is cleared; the caller's product stays right)."""
+    global _products_stored
+    if _products_stored >= _PRODUCTS_LIMIT:
+        _clear_products()
+    hit = row[kb] = _sig_mul(ka, kb)
+    _products_stored += 1
+    return hit
 
 
-def _rational_power(q: Coeff, e: Fraction) -> tuple[Sig, Coeff]:
+# Sum helpers take stored sums as iterables of (id, int) pairs with their
+# denominators and return {id: int} dicts, zero entries not yet dropped, with
+# their denominators; _reduce puts such a result in the stored form.
+
+def _sum_add(a, da: int, b, db: int) -> tuple[dict[int, int], int]:
+    d = da if da == db else math.lcm(da, db)
+    sa, sb = d // da, d // db
+    out = dict(a) if sa == 1 else {k: c * sa for k, c in a}
+    get = out.get
+    for k, c in b:
+        out[k] = get(k, 0) + c * sb
+    return out, d
+
+
+def _sum_mul(a, da: int, b, db: int) -> tuple[dict[int, int], int]:
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ka, ca in a:
+        if not ka:  # a constant times each monomial of b
+            for kb, cb in b:
+                acc[kb] = get(kb, 0) + ca * cb
+            continue
+        row = _PRODUCTS.get(ka)
+        if row is None:
+            row = _PRODUCTS[ka] = {}
+        for kb, cb in b:
+            if kb:
+                k, mult = row.get(kb) or _stored_product(ka, kb, row)
+                acc[k] = get(k, 0) + ca * cb * mult
+            else:
+                acc[ka] = get(ka, 0) + ca * cb
+    return acc, da * db
+
+
+def _reduce(acc: dict[int, int], d: int) -> tuple[tuple, int]:
+    """acc/d as a stored sum: nonzero pairs sorted by id over the least
+    positive denominator."""
+    monos = [item for item in acc.items() if item[1]]
+    if not monos:
+        return (), 1
+    if d != 1:
+        g = math.gcd(d, *[c for _, c in monos])
+        if g != 1:
+            d //= g
+            monos = [(k, c // g) for k, c in monos]
+    monos.sort()
+    return tuple(monos), d
+
+
+def _mono_inv(k: int, c: Coeff) -> tuple[int, Coeff]:
+    inv, mult = _intern_sig({a: (-n, d) for a, n, d in _SIG_KEYS[k]})
+    return inv, _demote(Fraction(mult) / c)  # int / int would be a float
+
+
+def _mono_pow(k: int, c: Coeff, e: Fraction) -> tuple[int, Coeff]:
+    k2, mult = _encode({atom: ae * e for atom, ae in _decoded(k)})
+    ck, cv = _rational_power(c, e)
+    k3, mult3 = _sig_mul(k2, ck)
+    return k3, _demote(mult * cv * mult3)
+
+
+def _rational_power(q: Coeff, e: Fraction) -> tuple[int, Coeff]:
     """q**e as a monomial; q must be nonzero, and positive unless e is integral."""
     if q == 0:
         raise ScalarError("zero base in rational power")
     if e.denominator == 1:
-        return (), _demote(Fraction(q) ** int(e))  # an int to a negative power is a float
+        return 0, _demote(Fraction(q) ** int(e))  # an int to a negative power is a float
     if q < 0:
         raise ScalarError(f"fractional power of negative rational {q}")
     exps: dict[Atom, Fraction] = {}
@@ -245,27 +339,27 @@ def _rational_power(q: Coeff, e: Fraction) -> tuple[Sig, Coeff]:
         for p, mult in _factorize(base).items():
             atom = ("r", p)
             exps[atom] = exps.get(atom, 0) + sign * mult * e
-    return _normalize_exponents(exps)
+    return _encode(exps)
 
 
-def _substitute(sig: Sig, c: Coeff, forms: Mapping) -> tuple[Sig, Coeff]:
-    """The monomial c*sig with each Gamma atom whose argument forms maps
+def _substitute(k: int, c: Coeff, forms: Mapping) -> tuple[int, Coeff]:
+    """The monomial c*sig(k) with each Gamma atom whose argument forms maps
     replaced by that form."""
     exps: dict[Atom, int | Fraction] = {}
-    for atom, e in sig:
+    for atom, e in _decoded(k):
         form = forms.get(atom[1]) if atom[0] == "g" else None
         if form is None:
             exps[atom] = exps.get(atom, 0) + e
             continue
-        fsig, fc = form
+        fk, fc = form
         c = c * Fraction(fc) ** e  # Gamma exponents are ints
-        for fatom, fe in fsig:
+        for fatom, fe in _decoded(fk):
             exps[fatom] = exps.get(fatom, 0) + fe * e
-    new_sig, mult = _normalize_exponents(exps)
-    return new_sig, _demote(c * mult)
+    new_k, mult = _encode(exps)
+    return new_k, _demote(c * mult)
 
 
-def _multiplication_relation(z: Fraction, n: int) -> tuple[Sig, Coeff]:
+def _multiplication_relation(z: Fraction, n: int) -> tuple[int, Coeff]:
     """Gauss's multiplication formula (DLMF 5.5.6) as a monomial equal to 1:
     prod_{j<n} Gamma(z + j/n) / ((2pi)^((n-1)/2) n^(1/2 - n z) Gamma(n z)),
     with pi = gamma(1/2)^2, for z in (0, 1/n] so every argument is in (0, 1]."""
@@ -273,7 +367,7 @@ def _multiplication_relation(z: Fraction, n: int) -> tuple[Sig, Coeff]:
 
     def gamma_power(arg: Fraction, e: int) -> None:
         if arg != 1:  # Gamma(1) = 1
-            atom = ("g", _intern(arg))
+            atom = ("g", arg)
             exps[atom] = exps.get(atom, 0) + e
 
     for j in range(n):
@@ -283,7 +377,7 @@ def _multiplication_relation(z: Fraction, n: int) -> tuple[Sig, Coeff]:
     exps[("r", 2)] = Fraction(1 - n, 2)
     for p, mult in _factorize(n).items():
         exps[("r", p)] = exps.get(("r", p), 0) + mult * (n * z - Fraction(1, 2))
-    return _normalize_exponents(exps)
+    return _encode(exps)
 
 
 # Levels above this keep their Gamma atoms as they are. Building one level
@@ -294,18 +388,18 @@ def _multiplication_relation(z: Fraction, n: int) -> tuple[Sig, Coeff]:
 _GAMMA_LEVEL_LIMIT = 32
 
 
-def _gamma_form(f: Fraction) -> tuple[Sig, Coeff]:
+def _gamma_form(f: Fraction) -> tuple[int, Coeff]:
     """The canonical monomial of gamma(f), f in (0, 1): the atom itself unless
     its level eliminates it."""
     q = f.denominator
     form = _gamma_level(q).get(f) if q <= _GAMMA_LEVEL_LIMIT else None
-    return form or (((("g", _intern(f)), 1),), 1)
+    return form or (_encode({("g", f): 1})[0], 1)
 
 
 @functools.cache
-def _gamma_level(q: int) -> dict[Fraction, tuple[Sig, Coeff]]:
+def _gamma_level(q: int) -> dict[Fraction, tuple[int, Coeff]]:
     """The forms of the atoms gamma(a/q) that level q eliminates, as monomials
-    (sig, coeff) over basis atoms; the level's other atoms form its basis.
+    (id, coeff) over basis atoms; the level's other atoms form its basis.
 
     The relations are the multiplication formulas for the proper divisors n
     of q (1 < n < q) at z = a/q in (0, 1/n]; a prime level has none. Each
@@ -320,15 +414,16 @@ def _gamma_level(q: int) -> dict[Fraction, tuple[Sig, Coeff]]:
     atoms only; it depends on a/q alone.
     """
     divisors = [n for n in range(2, q) if q % n == 0]
-    lower: dict[Fraction, tuple[Sig, Coeff]] = {}
+    lower: dict[Fraction, tuple[int, Coeff]] = {}
     for d in divisors:
         lower.update(_gamma_level(d))
-    pivots: dict[Fraction, tuple[Sig, Coeff]] = {}
+    pivots: dict[Fraction, tuple[int, Coeff]] = {}
     for n in divisors:
         for a in range(1, q // n + 1):
-            sig, c = _substitute(*_multiplication_relation(Fraction(a, q), n), lower)
-            while any(atom[0] == "g" and atom[1] in pivots for atom, _ in sig):
-                sig, c = _substitute(sig, c, pivots)
+            k, c = _substitute(*_multiplication_relation(Fraction(a, q), n), lower)
+            while any(atom[0] == "g" and atom[1] in pivots for atom, _ in _decoded(k)):
+                k, c = _substitute(k, c, pivots)
+            sig = _decoded(k)
             pivot = max(
                 (atom for atom, e in sig
                  if atom[0] == "g" and atom[1].denominator == q and e in (1, -1)),
@@ -336,7 +431,8 @@ def _gamma_level(q: int) -> dict[Fraction, tuple[Sig, Coeff]]:
             )
             if pivot is None:
                 continue
-            rest = tuple(item for item in sig if item[0] != pivot)
+            # a part of a normalized signature carries nothing
+            rest = _encode({atom: e for atom, e in sig if atom != pivot})[0]
             # c * gamma(pivot)^e * rest = 1 with e = +-1
             pivots[pivot[1]] = (rest, c) if dict(sig)[pivot] == -1 else _mono_inv(rest, c)
     for f in reversed(list(pivots)):
@@ -344,127 +440,78 @@ def _gamma_level(q: int) -> dict[Fraction, tuple[Sig, Coeff]]:
     return pivots
 
 
-# Sum helpers read iterables of (sig, coeff) pairs, return {sig: coeff} dicts.
-
-def _sum_add(a, b) -> dict[Sig, Coeff]:
-    out = dict(a)
-    for sig, c in b:
-        old = out.get(sig)
-        if old is None:
-            out[sig] = c
-            continue
-        nc = old + c
-        if nc:
-            out[sig] = _demote(nc)
-        else:
-            del out[sig]
-    return out
-
-
-def _over_common_den(a) -> tuple:
-    """The sum a as (sig, int) pairs over one positive int denominator d."""
-    d = math.lcm(*[c.denominator for _, c in a])
-    if d == 1:
-        return a, 1
-    return [(sig, c.numerator * (d // c.denominator)) for sig, c in a], d
-
-
-def _sum_mul(a, b) -> dict[Sig, Coeff]:
-    a, da = _over_common_den(a)
-    b, db = _over_common_den(b)
-    acc: dict[Sig, int] = {}
-    for sig_a, ca in a:
-        for sig_b, cb in b:
-            if sig_a and sig_b:
-                sig, mult = _sig_mul(sig_a, sig_b)
-                acc[sig] = acc.get(sig, 0) + ca * cb * mult
-            else:  # a normalized signature times a constant
-                sig = sig_a or sig_b
-                acc[sig] = acc.get(sig, 0) + ca * cb
-    d = da * db
-    if d == 1:
-        return {sig: n for sig, n in acc.items() if n}
-    # lowest terms once per result coefficient: Fraction's one gcd
-    return {sig: n // d if n % d == 0 else Fraction(n, d) for sig, n in acc.items() if n}
-
-
-_ONE_SUM: tuple = (((), 1),)
+_ONE_SUM: tuple = ((0, 1),)
 
 
 class Scalar:
-    """Exact constant: quotient of monomial sums. Immutable."""
+    """Exact constant: quotient of monomial sums. Immutable.
 
-    __slots__ = ("num", "den", "_src")
+    num/nd over den/dd in the stored form of the module docstring.
+    """
 
-    def __init__(self, num, den, _raw: bool = False):
+    __slots__ = ("num", "nd", "den", "dd", "_src")
+
+    def __init__(self, num, nd, den, dd, _raw: bool = False):
         if not _raw:
             raise ScalarError("use Scalar.from_fraction/param/gamma or arithmetic")
         self.num = num
+        self.nd = nd
         self.den = den
+        self.dd = dd
         self._src = None
 
-    def __reduce__(self):  # an unpickled unit denominator is _ONE_SUM again
-        return _rebuild, (self.num, self.den)
+    def __reduce__(self):  # decoded, so a pickle does not depend on this process's ids
+        return _rebuild, (_decode_sum(self.num, self.nd), _decode_sum(self.den, self.dd))
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _make(num: dict[Sig, Coeff], den) -> "Scalar":
+    def _make(num: dict[int, int], nd: int, den=_ONE_SUM, dd: int = 1) -> "Scalar":
         if den is _ONE_SUM:
-            # num holds normalized signatures and no zero coefficients
+            num, nd = _reduce(num, nd)
             if not num:
                 return _ZERO_SCALAR
-            return Scalar(tuple(sorted(num.items())), _ONE_SUM, _raw=True)
-        num = {sig: c for sig, c in num.items() if c}
-        den = {sig: c for sig, c in dict(den).items() if c}
+            return Scalar(num, nd, _ONE_SUM, 1, _raw=True)
+        den, dd = _reduce(den, dd)
         if not den:
             raise ScalarError("division by a symbolically zero scalar")
+        num, nd = _reduce(num, nd)
         if not num:
             return _ZERO_SCALAR
         if len(den) == 1:
-            (dsig, dc), = den.items()
-            num = _sum_mul(num.items(), (_mono_inv(dsig, dc),))
-            if not num:
-                return _ZERO_SCALAR
-            return Scalar(tuple(sorted(num.items())), _ONE_SUM, _raw=True)
+            (k, c), = den
+            inv_k, inv_c = _mono_inv(k, Fraction(c, dd))
+            return Scalar._make(*_sum_mul(num, nd, ((inv_k, inv_c.numerator),), inv_c.denominator))
         # multi-monomial denominator: cancel common atom content, then scale
         # so the canonically first denominator monomial has coefficient 1.
-        monos = list(num.items()) + list(den.items())
-        common: dict[Atom, Fraction] | None = None
-        for sig, _ in monos:
-            exps = dict(sig)
+        common: dict[int, Fraction] | None = None
+        for k, _ in num + den:
+            exps = {a: Fraction(n, d) for a, n, d in _SIG_KEYS[k]}
             if common is None:
                 common = exps
             else:
-                common = {
-                    atom: min(e, exps[atom]) for atom, e in common.items() if atom in exps
-                }
+                common = {a: min(e, exps[a]) for a, e in common.items() if a in exps}
             if not common:
                 break
         if common:
-            inv_sig, inv_c = _mono_inv(tuple(sorted(common.items())), 1)
-            num = dict(_mono_mul(s, c, inv_sig, inv_c) for s, c in num.items())
-            den = dict(_mono_mul(s, c, inv_sig, inv_c) for s, c in den.items())
-        den_items = sorted(den.items())
-        scale = Fraction(den_items[0][1])  # int / int would be a float
-        num_t = tuple(sorted((sig, _demote(c / scale)) for sig, c in num.items()))
-        den_t = tuple((sig, _demote(c / scale)) for sig, c in den_items)
-        # proportional num/den collapse to their constant ratio; den_t leads
-        # with coefficient 1, so the ratio is the leading numerator coefficient
-        if len(num_t) == len(den_t) and all(
-            ns == ds for (ns, _), (ds, _) in zip(num_t, den_t)
-        ):
-            ratio = num_t[0][1]
-            if all(nc == ratio * dc for (_, nc), (_, dc) in zip(num_t, den_t)):
-                if ratio == 1:
-                    return _ONE_SCALAR
-                return Scalar((((), ratio),), _ONE_SUM, _raw=True)
-        return Scalar(num_t, den_t, _raw=True)
+            inv_k, mult = _intern_sig({a: (-e.numerator, e.denominator) for a, e in common.items()})
+            inv = ((inv_k, mult.numerator),), mult.denominator
+            num, nd = _reduce(*_sum_mul(num, nd, *inv))
+            den, dd = _reduce(*_sum_mul(den, dd, *inv))
+        first = min(den, key=_canonical)[1]
+        sign = 1 if first > 0 else -1
+        num, nd = _reduce({k: c * dd * sign for k, c in num}, nd * abs(first))
+        den, dd = _reduce({k: c * sign for k, c in den}, abs(first))
+        # proportional num/den collapse to their constant ratio
+        if [k for k, _ in num] == [k for k, _ in den]:
+            (_, n0), (_, d0) = num[0], den[0]
+            if all(n * d0 == n0 * d for (_, n), (_, d) in zip(num, den)):
+                return Scalar.from_fraction(Fraction(n0 * dd, nd * d0))
+        return Scalar(num, nd, den, dd, _raw=True)
 
     @classmethod
     def from_fraction(cls, q) -> "Scalar":
-        q = q if type(q) is int else _demote(Fraction(q))
-        return cls._make({(): q} if q else {}, _ONE_SUM)
+        return _monomial(0, q if type(q) is int else Fraction(q))
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -476,7 +523,7 @@ class Scalar:
 
     @classmethod
     def param(cls, name: str) -> "Scalar":
-        return cls._make({((("p", name), 1),): 1}, _ONE_SUM)
+        return _monomial(_encode({("p", name): 1})[0], 1)
 
     @classmethod
     def gamma(cls, arg) -> "Scalar":
@@ -488,8 +535,8 @@ class Scalar:
         n = arg.numerator // arg.denominator
         f = arg - n
         poch = math.prod((f + i for i in range(n)), start=Fraction(1))
-        sig, c = _gamma_form(f)
-        return cls._make({sig: _demote(poch * c)}, _ONE_SUM)
+        k, c = _gamma_form(f)
+        return _monomial(k, poch * c)
 
     @classmethod
     def rational_power(cls, base, exp) -> "Scalar":
@@ -499,8 +546,7 @@ class Scalar:
             if exp > 0:
                 return cls.zero()
             raise ScalarError("0 raised to a non-positive power")
-        sig, c = _rational_power(base, exp)
-        return cls._make({sig: c}, _ONE_SUM)
+        return _monomial(*_rational_power(base, exp))
 
     # -- shape predicates ----------------------------------------------------
 
@@ -508,7 +554,7 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == _ONE_SUM and self.den == _ONE_SUM
+        return self.nd == 1 and self.num == _ONE_SUM and self.den == _ONE_SUM
 
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if atoms remain."""
@@ -516,21 +562,18 @@ class Scalar:
             return None
         if not self.num:
             return _ZERO
-        if len(self.num) == 1 and self.num[0][0] == ():
-            return Fraction(self.num[0][1])
+        if len(self.num) == 1 and not self.num[0][0]:
+            return Fraction(self.num[0][1], self.nd)
         return None
 
     def free_params(self) -> frozenset[str]:
-        names = set()
-        for part in (self.num, self.den):
-            for sig, _ in part:
-                for atom, _e in sig:
-                    if atom[0] == "p":
-                        names.add(atom[1])
-        return frozenset(names)
+        return frozenset(
+            atom[1] for part in (self.num, self.den) for k, _ in part
+            for atom, _e in _decoded(k) if atom[0] == "p"
+        )
 
     def leading_coeff_negative(self) -> bool:
-        return bool(self.num) and self.num[0][1] < 0
+        return bool(self.num) and min(self.num, key=_canonical)[1] < 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -548,16 +591,18 @@ class Scalar:
             return self
         if not self.num:
             return o
-        if self.den == o.den:
-            return Scalar._make(_sum_add(self.num, o.num), self.den)
-        n = _sum_add(_sum_mul(self.num, o.den), _sum_mul(o.num, self.den).items())
-        return Scalar._make(n, _sum_mul(self.den, o.den))
+        if self.dd == o.dd and self.den == o.den:
+            return Scalar._make(*_sum_add(self.num, self.nd, o.num, o.nd), self.den, self.dd)
+        na, da = _sum_mul(self.num, self.nd, o.den, o.dd)
+        nb, db = _sum_mul(o.num, o.nd, self.den, self.dd)
+        return Scalar._make(*_sum_add(na.items(), da, nb.items(), db),
+                            *_sum_mul(self.den, self.dd, o.den, o.dd))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
         # negating the numerator keeps every canonical property of num/den
-        return Scalar(tuple((sig, -c) for sig, c in self.num), self.den, _raw=True)
+        return Scalar(tuple((k, -c) for k, c in self.num), self.nd, self.den, self.dd, _raw=True)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-self._coerce(other))
@@ -569,12 +614,14 @@ class Scalar:
         o = self._coerce(other)
         if not self.num or not o.num:
             return _ZERO_SCALAR
-        if self.den is _ONE_SUM and self.num == _ONE_SUM:
+        if self.den is _ONE_SUM and self.nd == 1 and self.num == _ONE_SUM:
             return o
-        if o.den is _ONE_SUM and o.num == _ONE_SUM:
+        if o.den is _ONE_SUM and o.nd == 1 and o.num == _ONE_SUM:
             return self
-        den = _ONE_SUM if self.den is o.den is _ONE_SUM else _sum_mul(self.den, o.den)
-        return Scalar._make(_sum_mul(self.num, o.num), den)
+        num = _sum_mul(self.num, self.nd, o.num, o.nd)
+        if self.den is o.den is _ONE_SUM:
+            return Scalar._make(*num)
+        return Scalar._make(*num, *_sum_mul(self.den, self.dd, o.den, o.dd))
 
     __rmul__ = __mul__
 
@@ -582,7 +629,8 @@ class Scalar:
         o = self._coerce(other)
         if o.is_zero():
             raise ScalarError("division by a symbolically zero scalar")
-        return Scalar._make(_sum_mul(self.num, o.den), _sum_mul(self.den, o.num))
+        return Scalar._make(*_sum_mul(self.num, self.nd, o.den, o.dd),
+                            *_sum_mul(self.den, self.dd, o.num, o.nd))
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return self._coerce(other) / self
@@ -603,9 +651,10 @@ class Scalar:
                 n >>= 1
             return acc
         if len(self.num) == 1 and len(self.den) == 1:
-            nsig, nc = _mono_pow(*self.num[0], e)
-            dsig, dc = _mono_pow(*self.den[0], e)
-            return Scalar._make({nsig: nc}, {dsig: dc})
+            (nk, nc), = self.num
+            (dk, dc), = self.den
+            num = _monomial(*_mono_pow(nk, Fraction(nc, self.nd), e))
+            return num / _monomial(*_mono_pow(dk, Fraction(dc, self.dd), e))
         if self.is_zero() and e > 0:
             return Scalar.zero()
         raise ScalarError(
@@ -622,26 +671,28 @@ class Scalar:
             other = Scalar.from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.num == other.num and self.nd == other.nd
+                and self.den == other.den and self.dd == other.dd)
 
     def __hash__(self):
         # agree with __eq__, which accepts int and Fraction: a constant
-        # hashes like its coefficient, and an int like the equal Fraction
+        # hashes like its value
         num = self.num
         if self.den == _ONE_SUM:
             if not num:
                 return 0
             if len(num) == 1 and not num[0][0]:
-                return hash(num[0][1])
-        return hash((num, self.den))
+                c = num[0][1]
+                return hash(c) if self.nd == 1 else hash(Fraction(c, self.nd))
+        return hash((num, self.nd, self.den, self.dd))
 
     # -- numerics ----------------------------------------------------------------
 
     def eval(self, params: Mapping[str, float] | None = None) -> float:
         params = params or {}
         try:
-            nv = _eval_sum(self.num, params)
-            dv = _eval_sum(self.den, params)
+            nv = _eval_sum(self.num, self.nd, params)
+            dv = _eval_sum(self.den, self.dd, params)
         except OverflowError as exc:
             raise EvalError(f"overflow evaluating scalar {self}") from exc
         if dv == 0.0:
@@ -652,10 +703,9 @@ class Scalar:
 
     def to_source(self) -> str:
         if self._src is None:
-            if self.den == _ONE_SUM:
-                src = _sum_source(self.num)
-            else:
-                src = f"({_sum_source(self.num)})/({_sum_source(self.den)})"
+            src = _sum_source(self.num, self.nd)
+            if self.den != _ONE_SUM:
+                src = f"({src})/({_sum_source(self.den, self.dd)})"
             self._src = src
         return self._src
 
@@ -667,6 +717,32 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.to_source()!r})"
+
+
+def _monomial(k: int, c: Coeff) -> Scalar:
+    """The Scalar c * sig(k) for a normalized signature id k."""
+    if not c:
+        return _ZERO_SCALAR
+    return Scalar(((k, c.numerator),), c.denominator, _ONE_SUM, 1, _raw=True)
+
+
+def _decode_sum(monos, d: int) -> tuple:
+    """A stored sum as (decoded signature, Coeff) pairs in the canonical order."""
+    return tuple((_decoded(k), _demote(Fraction(c, d))) for k, c in sorted(monos, key=_canonical))
+
+
+def _encode_sum(monos) -> tuple[tuple, int]:
+    """The stored sum of canonical (decoded signature, Coeff) pairs."""
+    d = math.lcm(*[c.denominator for _, c in monos])
+    return tuple(sorted(
+        (_encode(dict(sig))[0], c.numerator * (d // c.denominator)) for sig, c in monos
+    )), d
+
+
+def _rebuild(num, den) -> Scalar:
+    num, nd = _encode_sum(num)
+    den, dd = _encode_sum(den)
+    return Scalar(num, nd, _ONE_SUM if den == _ONE_SUM else den, dd, _raw=True)
 
 
 def _eval_atom(atom: Atom, e: Fraction, params: Mapping[str, float]) -> float:
@@ -686,11 +762,15 @@ def _eval_atom(atom: Atom, e: Fraction, params: Mapping[str, float]) -> float:
     return float(atom[1]) ** float(e)
 
 
-def _eval_sum(monos: Iterable, params: Mapping[str, float]) -> float:
+def _eval_sum(monos, d: int, params: Mapping[str, float]) -> float:
+    """The float value of a stored sum, its monomials taken in the canonical
+    order; c / d rounds once, as float of the reduced Fraction does."""
+    if len(monos) == 1 and not monos[0][0]:
+        return monos[0][1] / d  # a constant, as the loop gives it: 0.0 + v is v
     total = 0.0
-    for sig, c in monos:
-        v = float(c)
-        for atom, e in sig:
+    for k, c in sorted(monos, key=_canonical):
+        v = c / d
+        for atom, e in _decoded(k):
             v *= _eval_atom(atom, e, params)
         total += v
     return total
@@ -713,36 +793,25 @@ def _atom_source(atom: Atom) -> str:
     return str(atom[1])
 
 
-def _mono_source(sig: Sig, coeff: Fraction) -> tuple[bool, str]:
-    neg = coeff < 0
-    c = -coeff if neg else coeff
-    if not sig:
-        return neg, str(c)
-    parts = [] if c == 1 else [str(c)]
-    for atom, e in sig:
-        if atom[0] == "r":
-            parts.append(f"{atom[1]}^({e})")
-        else:
-            parts.append(_atom_source(atom) + _exp_source(e))
-    return neg, "*".join(parts)
-
-
-def _sum_source(monos) -> str:
+def _sum_source(monos, d: int) -> str:
     if not monos:
         return "0"
     chunks = []
-    for i, (sig, c) in enumerate(monos):
-        neg, txt = _mono_source(sig, c)
+    for i, (k, c) in enumerate(sorted(monos, key=_canonical)):
+        g = math.gcd(c, d)
+        coeff = f"{abs(c) // g}" if g == d else f"{abs(c) // g}/{d // g}"
+        parts = [coeff] if coeff != "1" or not k else []
+        for atom, e in _decoded(k):
+            if atom[0] == "r":
+                parts.append(f"{atom[1]}^({e})")
+            else:
+                parts.append(_atom_source(atom) + _exp_source(e))
         if i == 0:
-            chunks.append(("-" if neg else "") + txt)
+            chunks.append(("-" if c < 0 else "") + "*".join(parts))
         else:
-            chunks.append((" - " if neg else " + ") + txt)
+            chunks.append((" - " if c < 0 else " + ") + "*".join(parts))
     return "".join(chunks)
 
 
-def _rebuild(num, den) -> Scalar:
-    return Scalar(num, _ONE_SUM if den == _ONE_SUM else den, _raw=True)
-
-
-_ZERO_SCALAR = Scalar((), _ONE_SUM, _raw=True)
-_ONE_SCALAR = Scalar(_ONE_SUM, _ONE_SUM, _raw=True)
+_ZERO_SCALAR = Scalar((), 1, _ONE_SUM, 1, _raw=True)
+_ONE_SCALAR = Scalar(_ONE_SUM, 1, _ONE_SUM, 1, _raw=True)

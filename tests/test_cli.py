@@ -332,6 +332,23 @@ def test_module_entry_point(problems_dir):
     assert float(r.stdout.strip()) == 1.0
 
 
+def test_stdout_does_not_depend_on_signature_ids(problems_dir):
+    # a process that met unrelated atoms first numbers its atoms and
+    # signatures differently, and prints the same bytes
+    argv = ("coeffs", _fx(problems_dir, "burgers_delay.frac"), "--alpha", "2/7", "-K", "8")
+    fresh = _run_child("-m", "fracseries", *argv)
+    other = _run_child("-c", "from fractions import Fraction\n"
+                             "import sys\n"
+                             "from fracseries.cli import main\n"
+                             "from fracseries.scalar import Scalar\n"
+                             "Scalar.param('zeta') ** Fraction(1, 3)\n"
+                             "Scalar.gamma(Fraction(3, 7))\n"
+                             "sys.exit(main(sys.argv[1:]))\n", *argv)
+    assert fresh.returncode == other.returncode == 0, other.stderr
+    assert fresh.stdout.encode() == other.stdout.encode()
+    assert fresh.stdout.count("gamma(") > 100
+
+
 DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 

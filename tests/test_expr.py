@@ -135,6 +135,16 @@ def test_power_operator():
     assert ((x + 1) ** 0) == Expr.one()
 
 
+def test_power_by_squaring_matches_repeated_products():
+    # two exponential terms, one with a polynomial and a parameter frequency
+    e = Expr.exponential(Fraction(1, 2), 3) + (Expr.x() - 1) * Expr.exponential(Scalar.param("nu"))
+    want = Expr.one()
+    for n in range(13):
+        got = e ** n
+        assert got == want and got.to_source() == want.to_source(), n
+        want = want * e
+
+
 def test_probe_equal_and_zero():
     x = Expr.x()
     e = Expr.exponential(1)

@@ -14,15 +14,22 @@ from fractions import Fraction
 import pytest
 
 import fracseries
+from fracseries.expr import Expr
 from fracseries.errors import EvalError, ScalarError
+from fracseries import scalar
 from fracseries.scalar import (
     _GAMMA_LEVEL_LIMIT,
     _ONE_SUM,
-    _SIG_MUL_CACHE_SIZE,
+    _PRODUCTS,
     Scalar,
+    _clear_products,
+    _decode_sum,
+    _decoded,
+    _encode,
+    _encode_sum,
     _gamma_level,
-    _intern,
-    _normalize_exponents,
+    _rebuild,
+    _reduce,
     _sig_mul,
     _sum_add,
     _sum_mul,
@@ -46,22 +53,38 @@ def _random_scalar(rng, depth=2):
     return Scalar.rational_power(2, Fraction(rng.choice([1, -1]), 2))
 
 
+def _decoded_sums(s):
+    """num and den of s as canonical (atom-tuple signature, coefficient) pairs."""
+    return _decode_sum(s.num, s.nd), _decode_sum(s.den, s.dd)
+
+
+def _assert_stored_sum(monos, d):
+    """Int numerators, nonzero, sorted by signature id, over a positive int
+    denominator whose gcd with them is 1; decoded, every coefficient is an int
+    when integral, else a Fraction."""
+    ids = [k for k, _ in monos]
+    assert ids == sorted(set(ids)), monos
+    assert all(type(k) is int and type(c) is int and c for k, c in monos), monos
+    assert type(d) is int and d >= 1 and math.gcd(d, *[c for _, c in monos]) == 1, (monos, d)
+    for sig, c in _decode_sum(monos, d):
+        if type(c) is not int:
+            assert type(c) is Fraction and c.denominator != 1, (sig, c)
+
+
 def _assert_coeff_types(*scalars):
-    """Every monomial coefficient is an int when integral, else a Fraction."""
     for s in scalars:
-        for sig, c in s.num + s.den:
-            if type(c) is not int:
-                assert type(c) is Fraction and c.denominator != 1, (s, sig, c)
+        _assert_stored_sum(s.num, s.nd)
+        _assert_stored_sum(s.den, s.dd)
+        assert s.den is _ONE_SUM or len(s.den) > 1, s
 
 
 def _expr_scalars(exprs):
     return [s for e in exprs for mu, poly in e.terms for s in (mu, *poly)]
 
 
-def _assert_interned_unit_ratio(q):
-    """q is a non-integral rational in (0, 1) and the shared instance of it."""
-    assert isinstance(q, Fraction) and q.denominator != 1 and 0 < q < 1, q
-    assert q is _intern(Fraction(q)), q
+def _assert_unit_ratio(q):
+    """q is a non-integral Fraction in (0, 1)."""
+    assert type(q) is Fraction and q.denominator != 1 and 0 < q < 1, q
 
 
 def test_ring_axioms_random():
@@ -113,7 +136,7 @@ def test_gamma_atoms_resolve_small_integers():
 
 
 def _gamma_args(s):
-    return [atom[1] for part in (s.num, s.den) for sig, _ in part
+    return [atom[1] for part in _decoded_sums(s) for sig, _ in part
             for atom, _e in sig if atom[0] == "g"]
 
 
@@ -157,7 +180,7 @@ def _gamma_monomial(f):
     """The canonical gamma(f) as its one monomial (sig, coeff)."""
     g = Scalar.gamma(f)
     assert len(g.num) == 1 and g.den == _ONE_SUM, f
-    return g.num[0]
+    return _decoded_sums(g)[0][0]
 
 
 def _is_basis(f):
@@ -206,25 +229,31 @@ def test_gamma_forms_use_basis_atoms_with_int_exponents():
         assert bases[q] == _unit_fractions(q), q
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this package."""
+    src = str(pathlib.Path(fracseries.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_gamma_forms_do_not_depend_on_build_order():
     levels = ", ".join(map(str, GAMMA_LEVELS))
     dump = (
         "from fractions import Fraction\n"
         "from math import gcd\n"
-        "from fracseries.scalar import Scalar\n"
+        "from fracseries.scalar import Scalar, _decode_sum\n"
         "{first}"
         f"for q in ({levels}):\n"
         "    for a in range(1, q):\n"
         "        if gcd(a, q) == 1:\n"
-        "            print(a, q, repr(Scalar.gamma(Fraction(a, q)).num))\n"
+        "            g = Scalar.gamma(Fraction(a, q))\n"
+        "            print(a, q, repr(_decode_sum(g.num, g.nd)))\n"
     )
-    src = str(pathlib.Path(fracseries.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = []
     for first in ("Scalar.gamma(Fraction(1, 12))\n", ""):
         r = subprocess.run(
             [sys.executable, "-c", dump.format(first=first)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, env=_child_env(),
         )
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)
@@ -279,30 +308,30 @@ def test_surd_products_cancel():
     assert (r * inv).is_one()
 
 
-def _random_sig(rng):
-    """A normalized signature: prime atoms at several exponent denominators,
+def _random_exps(rng):
+    """Exponents of a signature: prime atoms at several exponent denominators,
     Gamma atoms with int exponents, parameters with int or fractional ones."""
     exps = {}
     for p in rng.sample((2, 3, 5, 7), rng.randrange(3)):
         exps[("r", p)] = Fraction(rng.randrange(1, 13), rng.choice((2, 3, 4, 5, 6, 12)))
     for _ in range(rng.randrange(2)):
-        exps[("g", _intern(Fraction(rng.randrange(1, 5), 5)))] = rng.choice((-2, -1, 1, 2))
+        exps[("g", Fraction(rng.randrange(1, 5), 5))] = rng.choice((-2, -1, 1, 2))
     for name in rng.sample("ab", rng.randrange(3)):
         exps[("p", name)] = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3)))
-    return _normalize_exponents(exps)[0]
+    return exps
 
 
 def test_signature_product_factor_is_an_int():
     # prime-atom exponents lie in (0, 1), so the product of two signatures
     # carries p^0 or p^1 out of each prime atom and nothing out of the others
     rng = random.Random(106)
-    sigs = [_random_sig(rng) for _ in range(80)]
+    sigs = [_encode(_random_exps(rng))[0] for _ in range(80)]
     carried = 0
     for sig_a in sigs:
         for sig_b in sigs:
             if sig_a and sig_b:
                 _, mult = _sig_mul(sig_a, sig_b)
-                assert type(mult) is int, (sig_a, sig_b, mult)
+                assert type(mult) is int, (_decoded(sig_a), _decoded(sig_b), mult)
                 carried += mult != 1
     assert carried > 300
 
@@ -337,6 +366,14 @@ def _ref_sum_mul(a, b):
     return {sig: c for sig, c in out.items() if c}
 
 
+def _stored(op, a, b):
+    """op (_sum_mul or _sum_add) on sums given as (signature, coefficient)
+    pairs, in the stored form, checked and decoded back to a dict."""
+    monos, d = _reduce(*op(*_encode_sum(a), *_encode_sum(b)))
+    _assert_stored_sum(monos, d)
+    return dict(_decode_sum(monos, d))
+
+
 def _random_sum(rng, pool):
     """Canonical monomial-sum items: nonzero coefficients, int when integral."""
     out = {}
@@ -346,15 +383,38 @@ def _random_sum(rng, pool):
     return tuple(out.items())
 
 
-def _as_scalar(monos):
-    return Scalar(tuple(sorted(monos.items())), _ONE_SUM, _raw=True)
+def _random_shared_den_sum(rng, pool):
+    """Sums over one denominator, with numerators that often share its factors."""
+    den = rng.choice((1, 6, 12, 35, 49, 2**40))
+    out = {}
+    for sig in rng.sample(pool, rng.choice((1, 2, 4, 7))):
+        c = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10**6) * rng.choice((1, 2, 3, 5, 7)), den)
+        out[sig] = c.numerator if c.denominator == 1 else c
+    return tuple(out.items())
+
+
+def _sevenths_pool(rng):
+    """Signatures as at alpha 2/7: prime atoms at exponent denominator 7, so
+    products carry, Gamma atoms with negative exponents, rational parameter
+    exponents."""
+    pool = [()]
+    for _ in range(16):
+        exps = {("r", p): Fraction(rng.randrange(1, 7), 7)
+                for p in rng.sample((2, 3, 7), rng.randrange(1, 3))}
+        exps[("g", Fraction(rng.randrange(1, 7), 7))] = rng.choice((-3, -2, -1, 1, 2))
+        if rng.random() < 0.5:
+            exps[("p", "nu")] = Fraction(rng.choice((-5, -1, 1, 2, 4)), rng.choice((1, 3, 7)))
+        pool.append(_decoded(_encode(exps)[0]))
+    ids = [_encode(dict(sig))[0] for sig in pool[1:]]
+    assert sum(_sig_mul(ka, kb)[1] != 1 for ka in ids for kb in ids) > 100
+    return pool
 
 
 def test_sum_products_match_fraction_reference():
     rng = random.Random(107)
-    pool = [()] + [_random_sig(rng) for _ in range(12)]
-    two_1_2 = ((("r", 2), _intern(Fraction(1, 2))),)
-    two_1_4 = ((("r", 2), _intern(Fraction(1, 4))),)
+    pool = [()] + [_decoded(_encode(_random_exps(rng))[0]) for _ in range(12)]
+    two_1_2 = ((("r", 2), Fraction(1, 2)),)
+    two_1_4 = ((("r", 2), Fraction(1, 4)),)
     fixed = [
         ((two_1_2, 1), ((), Fraction(1, 3))),  # (2^(1/2) + 1/3)(2^(1/2) - 1/3) = 2 - 1/9
         ((two_1_2, 1), ((), Fraction(-1, 3))),
@@ -363,23 +423,45 @@ def test_sum_products_match_fraction_reference():
     ]
     cases = [(fixed[0], fixed[1]), (fixed[2], fixed[2]), (fixed[2], fixed[3]), (fixed[3], fixed[3])]
     cases += [(_random_sum(rng, pool), _random_sum(rng, pool)) for _ in range(400)]
+    rng = random.Random(108)
+    sevenths = _sevenths_pool(rng)
+    cases += [(_random_shared_den_sum(rng, sevenths), _random_shared_den_sum(rng, sevenths))
+              for _ in range(150)]
+    unit = (((), 1),)
     nonempty = 0
     for a, b in cases:
-        for got, want in ((_sum_mul(a, b), _ref_sum_mul(a, b)),
-                          (_sum_add(a, b), _ref_sum_add(a, b))):
-            assert got == want, (a, b)
-            _assert_coeff_types(_as_scalar(got))
+        product = _ref_sum_mul(a, b)
+        assert _stored(_sum_mul, a, b) == product, (a, b)
+        assert _stored(_sum_add, a, b) == _ref_sum_add(a, b), (a, b)
         # a product minus itself, formed from the negated operand, cancels
         neg_a = tuple((sig, -c) for sig, c in a)
-        diff = _sum_add(_sum_mul(a, b), _sum_mul(neg_a, b).items())
-        assert diff == _ref_sum_add(_ref_sum_mul(a, b).items(), _ref_sum_mul(neg_a, b).items()) == {}
-        nonempty += bool(_sum_mul(a, b))
-    assert _sum_mul(*cases[0]) == {(): Fraction(17, 9)}
-    assert _sum_mul(*cases[1]) == {two_1_2: Fraction(9, 4)}
-    two_3_4 = ((("r", 2), _intern(Fraction(3, 4))),)
-    assert _sum_mul(*cases[2]) == {two_1_2: 9, two_3_4: Fraction(15, 2)}
-    assert _sum_mul(*cases[3]) == {(): 50, two_1_2: 36, two_3_4: 60}
-    assert nonempty > 200
+        (pa, da), (pb, db) = (_sum_mul(*_encode_sum(x), *_encode_sum(b)) for x in (a, neg_a))
+        assert _reduce(*_sum_add(pa.items(), da, pb.items(), db)) == ((), 1)
+        assert _ref_sum_add(product.items(), _ref_sum_mul(neg_a, b).items()) == {}
+        # the same through Scalar arithmetic
+        got = _rebuild(a, unit) * _rebuild(b, unit) + _rebuild(b, unit)
+        _assert_coeff_types(got)
+        assert dict(_decoded_sums(got)[0]) == _ref_sum_add(product.items(), b)
+        nonempty += bool(product)
+    assert _stored(_sum_mul, *cases[0]) == {(): Fraction(17, 9)}
+    assert _stored(_sum_mul, *cases[1]) == {two_1_2: Fraction(9, 4)}
+    two_3_4 = ((("r", 2), Fraction(3, 4)),)
+    assert _stored(_sum_mul, *cases[2]) == {two_1_2: 9, two_3_4: Fraction(15, 2)}
+    assert _stored(_sum_mul, *cases[3]) == {(): 50, two_1_2: 36, two_3_4: 60}
+    assert nonempty > 350
+
+
+def test_canonical_order_does_not_follow_ids():
+    # b's signature is interned first, so it has the smaller id, while a
+    # comes first in the canonical order
+    b = Scalar.param("order_b")
+    a = Scalar.param("order_a")
+    assert b.num[0][0] < a.num[0][0]
+    assert (b + a).to_source() == "order_a + order_b"
+    assert not (a - b).leading_coeff_negative() and (b - a).leading_coeff_negative()
+    # the canonically first denominator monomial is scaled to 1
+    assert (1 / (b - a)).to_source() == "(-1)/(order_a - order_b)"
+    assert Expr.cosh_of(b - a).pretty() == "1*cosh((order_a - order_b)*x)"
 
 
 def test_zero_detection_requires_cancellation():
@@ -445,40 +527,45 @@ def test_structural_identity_is_canonical(delay_problem, diffusion_problem):
     assert {3: "x"}.get(three) == "x"
     assert len({three, 3}) == 1
     assert hash(Scalar.from_fraction(Fraction(2, 7))) == hash(Fraction(2, 7))
-    # the coefficient of a rational Scalar is an int when integral, but the
-    # exact value is always handed out as a Fraction
-    assert type(three.num[0][1]) is int
+    # the coefficient of a rational Scalar decodes to an int when integral,
+    # but the exact value is always handed out as a Fraction
+    assert type(_decoded_sums(three)[0][0][1]) is int
     assert type(three.as_fraction()) is Fraction
     assert type(Scalar.zero().as_fraction()) is Fraction
-    # integral exponents are stored as int; prime-atom exponents and Gamma
-    # arguments are the interned Fraction of a value in (0, 1), and any other
-    # non-integral exponent is interned too, in every Scalar a solve and its
-    # residual check build
+    # integral exponents decode to int; prime-atom exponents and Gamma
+    # arguments to the Fraction of a value in (0, 1), and any other
+    # non-integral exponent to a Fraction, in every Scalar a solve and its
+    # residual check build; each stored signature id is the one interned id
+    # of its decoded signature
     p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
     sol = solve(p, 6)
     exprs = list(sol.coeffs)
     for series in (residual_series(p, sol), apply_rhs(p.rhs, sol.series(), 5)):
         exprs += [e for _, e in series.coeffs]
     scalars = _expr_scalars(exprs)
-    exps = [(atom, e) for s in scalars for part in (s.num, s.den)
+    exps = [(atom, e) for s in scalars for part in _decoded_sums(s)
             for sig, _ in part for atom, e in sig]
+    for s in scalars:
+        for k, _ in s.num + s.den:
+            assert _encode(dict(_decoded(k))) == (k, 1), k
     assert any(atom[0] == "g" for atom, _ in exps)
     assert any(atom[0] == "r" for atom, _ in exps)
     for atom, e in exps:
         if atom[0] == "g":
-            _assert_interned_unit_ratio(atom[1])
+            _assert_unit_ratio(atom[1])
         if atom[0] == "r":
-            _assert_interned_unit_ratio(e)
+            _assert_unit_ratio(e)
         elif e.denominator == 1:
             assert type(e) is int, (atom, e)
         else:
-            assert e is _intern(Fraction(e)), (atom, e)
-    # monomial coefficients likewise: int when integral, Fraction otherwise,
-    # here and in kolmogorov at K = 20 (integers only, binomial weights)
+            assert type(e) is Fraction, (atom, e)
+    # monomial coefficients in the stored form, decoding to an int when
+    # integral and a Fraction otherwise, here and in kolmogorov at K = 20
+    # (integers only, binomial weights)
     _assert_coeff_types(*scalars)
     kol = solve(diffusion_problem, 20)
     kol_scalars = _expr_scalars(kol.coeffs)
-    assert any(c == 1 for s in kol_scalars for _, c in s.num)
+    assert any(c == 1 for s in kol_scalars for _, c in _decoded_sums(s)[0])
     _assert_coeff_types(*kol_scalars)
 
 
@@ -486,7 +573,7 @@ def _signature_rationals(scalars):
     """Gamma arguments and non-integral exponents of the given Scalars."""
     out = []
     for s in scalars:
-        for part in (s.num, s.den):
+        for part in _decoded_sums(s):
             for sig, _ in part:
                 for atom, e in sig:
                     if atom[0] == "g":
@@ -498,7 +585,7 @@ def _signature_rationals(scalars):
 
 def test_pickle_and_copies_keep_structure_and_interning(delay_problem):
     # a solution with its Exprs and Scalars, and a Scalar with Gamma and prime
-    # atoms, come back equal, hash alike and hold the shared rationals
+    # atoms, come back equal, hash alike and name the same signature ids
     p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
     sol = solve(p, 6)
     surd = Scalar.gamma(Fraction(2, 5)) * Scalar.rational_power(2, Fraction(-3, 5))
@@ -510,21 +597,64 @@ def test_pickle_and_copies_keep_structure_and_interning(delay_problem):
         # the problem's compiled exact line comes back too
         assert c_sol.problem.exact.eval(0.5, 0.25, {}) == sol.problem.exact.eval(0.5, 0.25, {})
         assert hash(c_sol.coeffs) == hash(sol.coeffs) and hash(c_surd) == hash(surd)
-        rationals = _signature_rationals(_expr_scalars(c_sol.coeffs) + [c_surd])
-        for q in rationals:
-            assert q is _intern(Fraction(q)), q
+        stored = [(s.num, s.nd, s.den, s.dd) for s in _expr_scalars(c_sol.coeffs) + [c_surd]]
+        assert stored == [(s.num, s.nd, s.den, s.dd) for s in _expr_scalars(sol.coeffs) + [surd]]
     # a unit denominator comes back as the shared tuple, so the copy's sums
     # and products keep the fast path of _make
     assert pickle.loads(pickle.dumps(Scalar.param("a") + 1)).den is _ONE_SUM
 
 
-def test_signature_product_cache_is_bounded(delay_problem):
-    maxsize = _sig_mul.cache_info().maxsize
-    assert maxsize is not None and maxsize == _SIG_MUL_CACHE_SIZE
+# Run first, these number atoms and signatures in another order than a fresh
+# process does.
+OTHER_ATOMS_FIRST = (
+    "from fractions import Fraction\n"
+    "from fracseries.scalar import Scalar\n"
+    "Scalar.param('zeta') ** Fraction(1, 3)\n"
+    "Scalar.gamma(Fraction(3, 7))\n"
+)
+
+
+def test_pickles_do_not_depend_on_signature_ids(delay_problem):
+    # a Scalar and a solution pickled by a process that met other atoms first
+    # come back equal here, with equal hashes, though it stored other ids
+    problem = pathlib.Path(__file__).resolve().parents[1] / "problems" / "burgers_delay.frac"
+    child = (
+        "import dataclasses, pickle, sys\n"
+        "from fractions import Fraction\n"
+        "from fracseries import parse_problem_file, solve\n"
+        "from fracseries.scalar import Scalar\n"
+        f"p = dataclasses.replace(parse_problem_file({str(problem)!r}), alpha=Fraction(2, 7))\n"
+        "surd = (Scalar.gamma(Fraction(2, 7)) * Scalar.rational_power(3, Fraction(-3, 7))\n"
+        "        + Scalar.param('nu'))\n"
+        "sys.stdout.buffer.write(pickle.dumps((solve(p, 6), surd, surd.num)))\n"
+    )
+    sol = solve(dataclasses.replace(delay_problem, alpha=Fraction(2, 7)), 6)
+    surd = Scalar.gamma(Fraction(2, 7)) * Scalar.rational_power(3, Fraction(-3, 7)) + Scalar.param("nu")
+    stored = []
+    for first in ("", OTHER_ATOMS_FIRST):
+        r = subprocess.run([sys.executable, "-c", first + child],
+                           capture_output=True, env=_child_env())
+        assert r.returncode == 0, r.stderr
+        c_sol, c_surd, c_num = pickle.loads(r.stdout)
+        assert c_sol == sol and c_sol.coeffs == sol.coeffs and c_surd == surd
+        assert hash(c_sol.coeffs) == hash(sol.coeffs) and hash(c_surd) == hash(surd)
+        assert c_surd.to_source() == surd.to_source()
+        stored.append(c_num)
+    assert stored[0] != stored[1]
+
+
+def test_signature_product_cache_is_bounded(delay_problem, monkeypatch):
+    assert 0 < scalar._PRODUCTS_LIMIT < 10**6
     p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
     warm = solve(p, 6).coeffs
-    _sig_mul.cache_clear()
+    _clear_products()
+    assert not _PRODUCTS
     assert solve(p, 6).coeffs == warm
+    # a table that fills up is cleared whole, and the products stay the same
+    _clear_products()
+    monkeypatch.setattr(scalar, "_PRODUCTS_LIMIT", 40)
+    assert solve(p, 6).coeffs == warm
+    assert 0 < sum(map(len, _PRODUCTS.values())) <= 40
 
 
 def test_sources_are_stable():
