@@ -18,9 +18,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from .errors import EvalError
+from .expr import eval_float_terms
 from .gammafn import gamma_real
 from .problems import ExactSolution
 from .solver import SeriesSolution, mittag_leffler_form
@@ -61,13 +62,8 @@ class _Compiled:
     """
 
     def __init__(self, sol: SeriesSolution, params: Optional[Mapping[str, float]]):
-        bind = sol.problem.param_floats(params)
-        # per coefficient, per term: (Horner coefficients, frequency)
-        self.tables = [
-            [(tuple(c.eval(bind) for c in reversed(poly)), mu.eval(bind))
-             for mu, poly in e.terms]
-            for e in sol.coeffs
-        ]
+        self.bind = sol.problem.param_floats(params)
+        self.tables = [e.float_terms(self.bind) for e in sol.coeffs]
         self.kas = [float(k * sol.problem.alpha) for k in range(len(sol.coeffs))]
         self.gammas = []
         for ka in self.kas:
@@ -83,18 +79,10 @@ class _Compiled:
         out = self._values.get(x)
         if out is None:
             out = []
-            try:
-                for k, terms in enumerate(self.tables):
-                    total = 0.0
-                    for cs, mv in terms:
-                        pv = 0.0
-                        for c in cs:
-                            pv = pv * x + c
-                        total += pv * math.exp(mv * x) if mv != 0.0 else pv
-                    if total != 0.0:
-                        out.append((k, total))
-            except OverflowError as exc:
-                raise EvalError(f"overflow evaluating expression at x={x}") from exc
+            for k, table in enumerate(self.tables):
+                total = eval_float_terms(table, x)
+                if total != 0.0:
+                    out.append((k, total))
             self._values[x] = out
         return out
 
@@ -178,7 +166,6 @@ def error_table(
     grid: EvalGrid,
 ) -> ErrorTable:
     """Evaluate on the grid and compare against the reference, if any."""
-    bind = sol.problem.param_floats(grid.params)
     compiled = _Compiled(sol, grid.params)
     rows = []
     for xv, tv in grid.points():
@@ -186,7 +173,7 @@ def error_table(
         if reference is None:
             rows.append(TableRow(xv, tv, approx))
         else:
-            refv = reference.eval(xv, tv, bind)
+            refv = reference.eval(xv, tv, compiled.bind)
             rows.append(TableRow(xv, tv, approx, refv, abs(approx - refv)))
     return ErrorTable(
         problem=sol.problem.name,

@@ -30,9 +30,10 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import EvalError, ExprError
-from .scalar import Scalar, ScalarLike
+from .scalar import Scalar, ScalarLike, power_by_squaring
 
 ExprLike = Union["Expr", Scalar, int, Fraction]
+FloatTerm = tuple[tuple[float, ...], float]
 
 
 def _trim(poly: list[Scalar]) -> tuple[Scalar, ...]:
@@ -207,13 +208,7 @@ class Expr:
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int) or n < 0:
             raise ExprError(f"expression power must be a non-negative integer, got {n!r}")
-        acc, base = Expr.one(), self
-        while n:  # by squaring, as Scalar.__pow__
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
+        return power_by_squaring(self, n, Expr.one())
 
     # -- calculus -------------------------------------------------------------
 
@@ -232,11 +227,7 @@ class Expr:
                 if not mu.is_zero():
                     for i, c in enumerate(poly):
                         deriv[i] = deriv[i] + mu * c
-                acc = groups.setdefault(mu, [Scalar.zero()] * len(deriv))
-                if len(acc) < len(deriv):
-                    acc.extend([Scalar.zero()] * (len(deriv) - len(acc)))
-                for i, c in enumerate(deriv):
-                    acc[i] = acc[i] + c
+                groups[mu] = deriv  # frequencies are distinct: nothing to merge
             cur = Expr._make(groups)
         return cur
 
@@ -267,32 +258,14 @@ class Expr:
     # -- numerics ------------------------------------------------------------------
 
     def eval(self, x: float, params: Mapping[str, float] | None = None) -> float:
-        params = params or {}
-        total = 0.0
-        try:
-            for mu, poly in self.terms:
-                pv = 0.0
-                for c in reversed(poly):
-                    pv = pv * x + c.eval(params)
-                mv = mu.eval(params)
-                total += pv * math.exp(mv * x) if mv != 0.0 else pv
-        except OverflowError as exc:
-            raise EvalError(f"overflow evaluating expression at x={x}") from exc
-        return total
+        return eval_float_terms(self.float_terms(params or {}), x)
 
-    def eval_abs(self, x: float, params: Mapping[str, float] | None = None) -> float:
-        """Sum of absolute term magnitudes; an envelope used for relative
-        zero tests."""
-        params = params or {}
-        total = 0.0
-        ax = abs(x)
-        for mu, poly in self.terms:
-            pv = 0.0
-            for c in reversed(poly):
-                pv = pv * ax + abs(c.eval(params))
-            mv = abs(mu.eval(params))
-            total += pv * math.exp(mv * ax)
-        return total
+    def float_terms(self, params: Mapping[str, float]) -> list[FloatTerm]:
+        """Per term, under one float binding: the polynomial coefficients in
+        Horner order (highest degree first) and the frequency."""
+        # tuple of a list, not of a generator: this runs per coefficient per table
+        return [(tuple([c.eval(params) for c in reversed(poly)]), mu.eval(params))
+                for mu, poly in self.terms]
 
     # -- printing --------------------------------------------------------------------
 
@@ -386,6 +359,20 @@ def _poly_source(poly: tuple[Scalar, ...]) -> str:
     return " + ".join(chunks)
 
 
+def eval_float_terms(terms: list[FloatTerm], x: float) -> float:
+    """The sum over float terms (see Expr.float_terms) of p(x) * exp(mu*x)."""
+    total = 0.0
+    try:
+        for cs, mv in terms:
+            pv = 0.0
+            for c in cs:
+                pv = pv * x + c
+            total += pv * math.exp(mv * x) if mv != 0.0 else pv
+    except OverflowError as exc:
+        raise EvalError(f"overflow evaluating expression at x={x}") from exc
+    return total
+
+
 def _wrap_poly(poly: tuple[Scalar, ...]) -> str:
     src = _poly_source(poly)
     if len(poly) == 1 and len(poly[0].num) <= 1 and not src.startswith("("):
@@ -463,8 +450,11 @@ def probe_zero(
                 vals[n] = rng.uniform(_PARAM_LOW, _PARAM_HIGH)
             xv = rng.uniform(-1.5, 1.5)
             try:
-                v = ee.eval(xv, vals)
-                scale = max(1.0, ee.eval_abs(xv, vals))
+                terms = ee.float_terms(vals)
+                v = eval_float_terms(terms, xv)
+                # envelope: the sum of absolute term magnitudes
+                scale = max(1.0, eval_float_terms(
+                    [(tuple(abs(c) for c in cs), abs(mv)) for cs, mv in terms], abs(xv)))
                 for r in refs:
                     scale = max(scale, abs(r.eval(xv, vals)))
             except EvalError:

@@ -111,6 +111,17 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def power_by_squaring(base, n: int, one):
+    """base**n for an int n >= 0 in any ring with *, one its unit."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return acc
+
+
 def _demote(q: Coeff) -> Coeff:
     """An integral Fraction as its int numerator; anything else unchanged."""
     return q.numerator if q.denominator == 1 else q
@@ -639,22 +650,12 @@ class Scalar:
         e = Fraction(exp)
         if e.denominator == 1:
             n = int(e)
-            if n == 0:
-                return Scalar.one()
-            base = self if n > 0 else Scalar.one() / self
-            n = abs(n)
-            acc = Scalar.one()
-            while n:
-                if n & 1:
-                    acc = acc * base
-                base = base * base if n > 1 else base
-                n >>= 1
-            return acc
-        if len(self.num) == 1 and len(self.den) == 1:
-            (nk, nc), = self.num
-            (dk, dc), = self.den
-            num = _monomial(*_mono_pow(nk, Fraction(nc, self.nd), e))
-            return num / _monomial(*_mono_pow(dk, Fraction(dc, self.dd), e))
+            base = self if n >= 0 else Scalar.one() / self
+            return power_by_squaring(base, abs(n), Scalar.one())
+        # a one-monomial denominator is always folded into the numerator
+        if len(self.num) == 1 and self.den is _ONE_SUM:
+            (k, c), = self.num
+            return _monomial(*_mono_pow(k, Fraction(c, self.nd), e))
         if self.is_zero() and e > 0:
             return Scalar.zero()
         raise ScalarError(

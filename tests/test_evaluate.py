@@ -1,8 +1,10 @@
 """Numeric layer: pointwise sums, truncation error, export round trips."""
 
 import dataclasses
+import inspect
 import json
 import math
+import typing
 from fractions import Fraction
 
 import pytest
@@ -215,3 +217,33 @@ def test_high_order_matches_mpmath(diffusion_problem):
                 got = eval_solution(sol, x, float(t))
                 assert abs(got - want) <= 1e-12 * abs(want), (alpha, K, t, got, want)
 
+
+def _public_callables():
+    import fracseries
+
+    for name in fracseries.__all__:
+        obj = getattr(fracseries, name)
+        if isinstance(obj, type):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, obj
+
+
+def test_public_type_hints_resolve():
+    # annotations are strings under postponed evaluation; each must name
+    # something its module imports
+    seen = 0
+    for name, obj in _public_callables():
+        try:
+            typing.get_type_hints(obj)
+        except Exception as exc:
+            pytest.fail(f"{name}: {exc!r}")
+        seen += 1
+    assert seen > 100

@@ -4,8 +4,10 @@ import math
 import random
 from fractions import Fraction
 
-from fracseries.expr import Expr, probe_equal, probe_zero
+from fracseries.evaluate import _Compiled
+from fracseries.expr import Expr, eval_float_terms, probe_equal, probe_zero
 from fracseries.scalar import Scalar
+from fracseries.solver import SeriesSolution
 
 
 def _random_expr(rng, allow_params=True):
@@ -20,6 +22,29 @@ def _random_expr(rng, allow_params=True):
         else:
             terms = terms + Expr.poly(poly) * Expr.exponential(mu)
     return terms
+
+
+def _envelope(e, x):
+    """Sum of absolute term magnitudes of e at x, a scale for float tolerances."""
+    total = 0.0
+    for mu, poly in e.terms:
+        pv = 0.0
+        for c in reversed(poly):
+            pv = pv * abs(x) + abs(c.eval())
+        total += pv * math.exp(abs(mu.eval()) * abs(x))
+    return total
+
+
+def _reference_eval(e, x, params):
+    """Expr.eval as a direct Horner/exp loop over the exact terms."""
+    total = 0.0
+    for mu, poly in e.terms:
+        pv = 0.0
+        for c in reversed(poly):
+            pv = pv * x + c.eval(params)
+        mv = mu.eval(params)
+        total += pv * math.exp(mv * x) if mv != 0.0 else pv
+    return total
 
 
 def test_ring_axioms_random():
@@ -79,7 +104,7 @@ def test_derivative_matches_finite_differences():
         xv = rng.uniform(-1.2, 1.2)
         want = (a.eval(xv + h) - a.eval(xv - h)) / (2 * h)
         got = a.diff_x().eval(xv)
-        scale = abs(want) + a.eval_abs(xv) + 1.0
+        scale = abs(want) + _envelope(a, xv) + 1.0
         assert abs(got - want) <= 1e-6 * scale
 
 
@@ -106,7 +131,7 @@ def test_scale_x():
         xv = rng.uniform(-1.0, 1.0)
         want = a.eval(float(s) * xv)
         got = a.scale_x(s).eval(xv)
-        assert abs(got - want) <= 1e-12 * (abs(want) + a.eval_abs(float(s) * xv) + 1)
+        assert abs(got - want) <= 1e-12 * (abs(want) + _envelope(a, float(s) * xv) + 1)
         # chain rule: (f(sx))' = s f'(sx)
         assert (a.scale_x(s).diff_x() - a.diff_x().scale_x(s).scalar_mul(s)).is_zero()
 
@@ -169,9 +194,23 @@ def test_eval_composition():
         a = _random_expr(rng, allow_params=False)
         b = _random_expr(rng, allow_params=False)
         xv = rng.uniform(-1.0, 1.0)
-        scale = a.eval_abs(xv) * b.eval_abs(xv) + a.eval_abs(xv) + b.eval_abs(xv) + 1
+        scale = _envelope(a, xv) * _envelope(b, xv) + _envelope(a, xv) + _envelope(b, xv) + 1
         assert abs((a + b).eval(xv) - (a.eval(xv) + b.eval(xv))) <= 1e-12 * scale
         assert abs((a * b).eval(xv) - a.eval(xv) * b.eval(xv)) <= 1e-12 * scale
+
+
+def test_eval_and_compiled_tables_match_the_reference_loop(diffusion_problem):
+    rng = random.Random(209)
+    params = {"a": 1.3, "b": -0.7}
+    exprs = [_random_expr(rng) for _ in range(40)]
+    exprs.append(Expr.exponential(Scalar.gamma(Fraction(1, 3)), Scalar.param("a")))
+    compiled = _Compiled(SeriesSolution(diffusion_problem, len(exprs) - 1, tuple(exprs)),
+                         params)
+    for xv in (-1.25, 0.0, 0.3, 2.0):
+        want = [_reference_eval(e, xv, params) for e in exprs]
+        assert [e.eval(xv, params) for e in exprs] == want
+        assert [eval_float_terms(e.float_terms(params), xv) for e in exprs] == want
+        assert compiled.values(xv) == [(k, v) for k, v in enumerate(want) if v != 0.0]
 
 
 def test_zero_test_cancels_across_frequencies():

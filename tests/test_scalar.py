@@ -27,6 +27,7 @@ from fracseries.scalar import (
     _decoded,
     _encode,
     _encode_sum,
+    _factorize,
     _gamma_level,
     _rebuild,
     _reduce,
@@ -662,3 +663,12 @@ def test_sources_are_stable():
     for _ in range(50):
         s = _random_scalar(rng)
         assert s.to_source() == s.to_source()
+
+
+def test_factorize_past_three():
+    # trial division over 6k +- 1 after the primes 2 and 3
+    assert _factorize(2 * 3 * 5**2 * 7 * 11 * 13 * 97) == {
+        2: 1, 3: 1, 5: 2, 7: 1, 11: 1, 13: 1, 97: 1}
+    assert _factorize(49) == {7: 2}
+    sqrt2 = Scalar.rational_power(2, Fraction(1, 2))
+    assert Scalar.rational_power(Fraction(50, 49), Fraction(1, 2)) == Fraction(5, 7) * sqrt2

@@ -18,6 +18,7 @@ from fracseries.problems import Problem, RhsFactor, RhsOperator, RhsTerm
 from fracseries.scalar import Scalar
 from fracseries.series import FracSeries
 from fracseries.solver import (
+    SeriesSolution,
     apply_rhs,
     mittag_leffler_form,
     residual_orders,
@@ -234,6 +235,14 @@ def test_time_coefficient_rejected_off_grid():
         solve(p, 3)
     with pytest.raises(TimeCoefficientIncompatible):
         solve_linear(p, 3)
+
+
+def test_residual_rejects_time_coefficient_off_grid():
+    # the oracle rejects on its own, without the engine: a hand-built solution
+    p = _problem(Fraction(1, 2), 1, [Expr.x()], [_term(tcoef=Expr.exponential(1))])
+    sol = SeriesSolution(p, 3, (Expr.x(),) * 4)
+    with pytest.raises(TimeCoefficientIncompatible):
+        residual_series(p, sol)
 
 
 def test_time_coefficient_allowed_when_factor_vanishes():
