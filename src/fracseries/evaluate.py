@@ -64,7 +64,9 @@ class _Compiled:
     def __init__(self, sol: SeriesSolution, params: Optional[Mapping[str, float]]):
         self.bind = sol.problem.param_floats(params)
         self.tables = [e.float_terms(self.bind) for e in sol.coeffs]
-        self.kas = [float(k * sol.problem.alpha) for k in range(len(sol.coeffs))]
+        # int true division rounds once, as float() of the Fraction k*alpha does
+        a = sol.problem.alpha
+        self.kas = [k * a.numerator / a.denominator for k in range(len(sol.coeffs))]
         self.gammas = []
         for ka in self.kas:
             try:
@@ -187,10 +189,6 @@ def error_table(
 
 # -- export -----------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _table_columns(table: ErrorTable) -> list[str]:
     cols = ["x", "t", "approx"]
     if table.has_reference:
@@ -198,19 +196,19 @@ def _table_columns(table: ErrorTable) -> list[str]:
     return cols
 
 
-def _row_values(row: TableRow, has_reference: bool) -> list[float]:
-    vals = [row.x, row.t, row.approx]
+def _row_values(row: TableRow, has_reference: bool) -> tuple[float, ...]:
     if has_reference:
-        vals += [row.reference, row.error]
-    return vals
+        return row.x, row.t, row.approx, row.reference, row.error
+    return row.x, row.t, row.approx
 
 
 def _export_table(table: ErrorTable, fmt: str) -> str:
     cols = _table_columns(table)
     if fmt == "csv":
+        # one % per row; "%.17g" % v is format(float(v), ".17g")
+        row = ",".join(["%.17g"] * len(cols))
         lines = [",".join(cols)]
-        for r in table.rows:
-            lines.append(",".join(_fmt(v) for v in _row_values(r, table.has_reference)))
+        lines += [row % _row_values(r, table.has_reference) for r in table.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         doc = {
@@ -219,10 +217,9 @@ def _export_table(table: ErrorTable, fmt: str) -> str:
             "alpha": table.alpha,
             "reference": table.reference_desc,
             "columns": cols,
-            "rows": [
-                [float(_fmt(v)) for v in _row_values(r, table.has_reference)]
-                for r in table.rows
-            ],
+            # 17 significant digits round-trip every double, so a row holds
+            # the values themselves, as the csv rows print them
+            "rows": [list(map(float, _row_values(r, table.has_reference))) for r in table.rows],
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "pretty":

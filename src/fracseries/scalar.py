@@ -693,7 +693,7 @@ class Scalar:
         params = params or {}
         try:
             nv = _eval_sum(self.num, self.nd, params)
-            dv = _eval_sum(self.den, self.dd, params)
+            dv = 1.0 if self.den is _ONE_SUM else _eval_sum(self.den, self.dd, params)
         except OverflowError as exc:
             raise EvalError(f"overflow evaluating scalar {self}") from exc
         if dv == 0.0:

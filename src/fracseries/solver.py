@@ -10,6 +10,8 @@ already-known prefix is exact because the k-m coefficient of R[S] never reads
 series entries above k-1 (every operation here preserves or raises grid order).
 solve reads it off online series products (van der Hoeven, "Relax, but don't
 be too lazy", J. Symb. Comput. 2002); solve_linear is solve behind a guard.
+The last problem's streams are kept, so solving it again at another order
+reads or extends them instead of starting over.
 
 Verification is independent of the construction: residual_series recomputes
 D_t^(m*alpha) S - R[S] from scratch with the batch operator apply_rhs and
@@ -19,8 +21,8 @@ checks that its low-order coefficients are structurally zero.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,61 +179,115 @@ def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
     return _Stream(off_grid)
 
 
+class _Engine:
+    """The streams of one problem: its solution coefficients, starting with
+    the ICs, and the summed right-hand side, extended on demand.
+
+    The stream tables are keyed by rhs operator and by image; no stream
+    refers back to the engine, so dropping it frees them without a cycle.
+    """
+
+    __slots__ = ("problem", "coeffs", "_summed", "_images")
+
+    def __init__(self, problem: Problem):
+        self.problem = problem
+        self.coeffs: list[Expr] = list(problem.ics)
+        self._summed: dict[RhsOperator, _Stream] = {}
+        self._images: dict[tuple, _Stream] = {}
+
+    def summed(self, rhs: RhsOperator) -> _Stream:
+        """rhs applied to the solution: its term streams plus its forcing."""
+        stream = self._summed.get(rhs)
+        if stream is None:
+            forcing = dict(rhs.forcing)
+            streams = [_term_stream(t, self.image, self.problem.alpha) for t in rhs.terms]
+
+            def coeff(j: int) -> Expr:
+                out = forcing.get(j, Expr.zero())
+                for s in streams:
+                    e = s[j]
+                    if not e.is_zero():
+                        out = out + e
+                return out
+
+            stream = self._summed[rhs] = _Stream(coeff)
+        return stream
+
+    def image(self, n: int, xscale: Fraction, tscale: Fraction,
+              inner: RhsOperator | None) -> _Stream:
+        """(D_x^n B)(xscale*x, tscale*t), B = psi or inner, shared by every factor."""
+        key = (n, xscale, tscale, inner)
+        stream = self._images.get(key)
+        if stream is None:
+            base = self.coeffs if inner is None else self.summed(inner)
+            alpha = self.problem.alpha
+
+            def coeff(j: int) -> Expr:
+                e = base[j]
+                if e.is_zero():
+                    return e
+                if n:
+                    e = e.diff_x(n)
+                if xscale != 1 or tscale != 1:
+                    e = e.scale_x(xscale).scalar_mul(Scalar.rational_power(tscale, j * alpha))
+                return e
+
+            stream = self._images[key] = _Stream(coeff)
+        return stream
+
+    def coefficients(self, order: int) -> tuple[Expr, ...]:
+        """Coefficients 0..order, computing only those past the ones kept."""
+        m = self.problem.m
+        rhs = self.summed(self.problem.rhs)
+        while len(self.coeffs) <= order:
+            self.coeffs.append(rhs[len(self.coeffs) - m])
+        return tuple(self.coeffs[: order + 1])
+
+    def close(self) -> None:
+        """Release the streams, even while something still holds the engine."""
+        self._summed.clear()
+        self._images.clear()
+
+
+# The engine of the last problem solved: one problem's streams at most. A list
+# changed in place, so solving never rebinds a module attribute; the lock keeps
+# two threads from extending one engine at once.
+_last_engine: list[_Engine] = []
+_engine_lock = threading.Lock()
+
+
+def _drop_engine() -> None:
+    while _last_engine:
+        _last_engine.pop().close()
+
+
 def solve(problem: Problem, order: int) -> SeriesSolution:
     """Explicit recurrence: one new coefficient per step, nothing revisited.
 
     Step k reads coefficient k-m of the right-hand side's summed stream; every
     stream coefficient, and every x-derivative and argument scaling of a
     solution coefficient or of a nested right-hand side, is computed once.
+    The last problem's streams are kept: solving it (or an == problem) again
+    reuses its prefix, as step k reads only coefficients 0..k-1.
     """
     if order < problem.m - 1:
         raise ProblemError(
             f"truncation order {order} is below m-1 = {problem.m - 1}: "
             "not even the initial conditions fit"
         )
-    alpha = problem.alpha
-    coeffs = list(problem.ics[: order + 1])
-
-    @functools.cache
-    def summed(rhs: RhsOperator) -> _Stream:
-        """rhs applied to the solution: its term streams plus its forcing."""
-        forcing = dict(rhs.forcing)
-        streams = [_term_stream(t, image, alpha) for t in rhs.terms]
-
-        def coeff(j: int) -> Expr:
-            out = forcing.get(j, Expr.zero())
-            for s in streams:
-                e = s[j]
-                if not e.is_zero():
-                    out = out + e
-            return out
-
-        return _Stream(coeff)
-
-    @functools.cache
-    def image(n: int, xscale: Fraction, tscale: Fraction, inner: RhsOperator | None) -> _Stream:
-        """(D_x^n B)(xscale*x, tscale*t), B = psi or inner, shared by every factor."""
-        base = coeffs if inner is None else summed(inner)
-
-        def coeff(j: int) -> Expr:
-            e = base[j]
-            if e.is_zero():
-                return e
-            if n:
-                e = e.diff_x(n)
-            if xscale != 1 or tscale != 1:
-                e = e.scale_x(xscale).scalar_mul(Scalar.rational_power(tscale, j * alpha))
-            return e
-
-        return _Stream(coeff)
-
-    rhs = summed(problem.rhs)
-    for j in range(order + 1 - problem.m):
-        coeffs.append(rhs[j])
-    # summed and image refer to each other; unbinding them frees their cached
-    # streams on return instead of leaving a cycle for the garbage collector
-    del summed, image
-    return SeriesSolution(problem, order, tuple(coeffs))
+    with _engine_lock:
+        try:
+            engine = _last_engine[0] if _last_engine else None
+            if engine is None or not (engine.problem is problem or engine.problem == problem):
+                _drop_engine()
+                engine = _Engine(problem)
+                _last_engine.append(engine)
+            coeffs = engine.coefficients(order)
+        except BaseException:
+            # a failed step may leave streams partly advanced
+            _drop_engine()
+            raise
+    return SeriesSolution(problem, order, coeffs)
 
 
 def solve_linear(problem: Problem, order: int) -> SeriesSolution:

@@ -3,6 +3,9 @@
 import dataclasses
 import gc
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -17,8 +20,11 @@ from fracseries.expr import Expr
 from fracseries.problems import Problem, RhsFactor, RhsOperator, RhsTerm
 from fracseries.scalar import Scalar
 from fracseries.series import FracSeries
+from fracseries import solver
 from fracseries.solver import (
     SeriesSolution,
+    _drop_engine,
+    _Engine,
     apply_rhs,
     mittag_leffler_form,
     residual_orders,
@@ -337,9 +343,97 @@ def test_each_derivative_image_is_computed_once(monkeypatch, diffusion_problem,
 
     monkeypatch.setattr(Expr, "diff_x", counting)
     for prob, order, want in ((diffusion_problem, 100, 200), (delay_problem, 10, 20)):
+        _drop_engine()  # count a whole solve, not an extension of an earlier one
         calls = 0
         solve(prob, order)
         assert calls == want, prob.name
+
+
+def test_solve_extends_the_last_problems_engine(monkeypatch, diffusion_problem,
+                                               wave_problem, delay_problem):
+    # whatever was solved before, each solve equals a fresh engine's at its
+    # order and carries the caller's problem object
+    rng = random.Random(18)
+    problems = [diffusion_problem, wave_problem] + [
+        dataclasses.replace(delay_problem, alpha=Fraction(a)) for a in ("1/2", "1", "2/7")
+    ]
+    # each problem twice, in runs of three shuffled orders
+    cases = [(p, K) for _ in range(2) for p in problems for K in rng.sample(range(1, 7), 3)]
+    for p, K in cases:
+        caller = p if rng.random() < 0.5 else dataclasses.replace(p, alpha=p.alpha)
+        sol = solve(caller, K)
+        assert sol.problem is caller and sol.order == K
+        assert sol.coeffs == _Engine(p).coefficients(K), (p.name, p.alpha, K)
+
+    calls = 0
+    diff_x = Expr.diff_x
+
+    def counting(self, n=1):
+        nonlocal calls
+        calls += 1
+        return diff_x(self, n)
+
+    monkeypatch.setattr(Expr, "diff_x", counting)
+    p = diffusion_problem
+    solve(p, 10)
+    calls = 0
+    assert solve(p, 6).coeffs == solve(p, 10).coeffs[:7]
+    assert calls == 0  # a lower order reads the kept prefix
+    solve(p, 14)
+    assert calls == 2 * 4  # images Dx and Dx^2 of coefficients 10..13 only
+    calls = 0
+    same = dataclasses.replace(p, alpha=p.alpha)
+    assert solve(same, 14).problem is same
+    assert calls == 0  # an == problem reuses the engine
+    solve(dataclasses.replace(p, alpha=Fraction(1, 2)), 3)
+    assert calls == 2 * 3
+    calls = 0
+    solve(p, 14)
+    assert calls == 2 * 14  # the other alpha replaced the engine
+
+
+def test_failed_solve_drops_the_engine(diffusion_problem):
+    # exp(t) coefficient with a surviving factor at alpha = 1/2: step 0 raises
+    bad = _problem(Fraction(1, 2), 1, [Expr.x()], [_term(tcoef=Expr.exponential(1))])
+    want = _Engine(diffusion_problem).coefficients(6)
+    assert solve(bad, 0).coeffs == (Expr.x(),)  # the initial data alone
+    messages = []
+    for _ in range(2):
+        with pytest.raises(TimeCoefficientIncompatible) as err:
+            solve(bad, 3)
+        messages.append(str(err.value))
+        assert not solver._last_engine
+    assert messages[0] == messages[1]
+    assert solve(diffusion_problem, 6).coeffs == want
+
+
+def test_threads_solving_one_problem_get_fresh_results(delay_problem):
+    # the kept engine is shared by every thread: an extension interleaved with
+    # another would append a coefficient twice and shift the rest
+    p = dataclasses.replace(delay_problem, alpha=Fraction(1, 2))
+    want = _Engine(p).coefficients(10)
+    wrong = []
+
+    def work(orders):
+        for K in orders:
+            if solve(p, K).coeffs != want[:K + 1]:
+                wrong.append(K)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _drop_engine()
+            threads = [threading.Thread(target=work, args=([3, 10, 6] if i % 2 else [10, 2, 8],))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert not wrong
 
 
 def test_solve_leaves_no_cyclic_garbage(wave_problem):
@@ -357,6 +451,7 @@ def test_solve_leaves_no_cyclic_garbage(wave_problem):
 
 def test_prefix_stability(delay_problem):
     small = solve(delay_problem, 4)
+    _drop_engine()  # big on a fresh engine, not an extension of small's
     big = solve(delay_problem, 8)
     for k in range(5):
         assert big.coeff(k) == small.coeff(k)
