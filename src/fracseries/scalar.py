@@ -267,11 +267,13 @@ def _clear_products() -> None:
 
 def _stored_product(ka: int, kb: int, row: dict) -> tuple[int, int]:
     """_sig_mul(ka, kb), stored in row, the table's row of ka (dropped with
-    the rest when the table is cleared; the caller's product stays right)."""
+    the rest when the table is cleared; the caller's product stays right).
+    The product is symmetric (_intern_sig sorts the atoms), so a stored
+    (kb, ka) entry is copied instead of multiplied again."""
     global _products_stored
     if _products_stored >= _PRODUCTS_LIMIT:
         _clear_products()
-    hit = row[kb] = _sig_mul(ka, kb)
+    hit = row[kb] = _PRODUCTS.get(kb, {}).get(ka) or _sig_mul(ka, kb)
     _products_stored += 1
     return hit
 

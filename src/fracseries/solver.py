@@ -15,7 +15,11 @@ reads or extends them instead of starting over.
 
 Verification is independent of the construction: residual_series recomputes
 D_t^(m*alpha) S - R[S] from scratch with the batch operator apply_rhs and
-checks that its low-order coefficients are structurally zero.
+checks that its low-order coefficients are structurally zero. residual_orders
+reuses its last verdicts only for an equal problem, alpha and coefficient
+prefix at the kept order or below, which is sound because verdict j reads
+nothing but m, the rhs, alpha and coefficients 0..j+m. That record and the
+engine never read each other.
 """
 
 from __future__ import annotations
@@ -323,6 +327,16 @@ def residual_series(problem: Problem, sol: SeriesSolution) -> FracSeries:
     return lhs.sub(rhs)
 
 
+# residual_orders' last result (problem, alpha, coefficients 0..K, verdicts
+# 0..K-m), replaced whole, so threads can only lose a record; a list changed
+# in place, like _last_engine.
+_last_verdicts: list[tuple | None] = [None]
+
+
+def _drop_verdicts() -> None:
+    _last_verdicts[0] = None
+
+
 def residual_orders(problem: Problem, sol: SeriesSolution) -> list[tuple[int, bool]]:
     """Per-order verdicts: (j, True) iff residual coefficient j is structurally zero.
 
@@ -330,9 +344,24 @@ def residual_orders(problem: Problem, sol: SeriesSolution) -> list[tuple[int, bo
     zero, which includes forms equal in value that the canonical Scalars do
     not relate (gamma(1/3)*gamma(2/3) against 2*3^(-1/2)*gamma(1/2)^2: no
     relation is applied at a prime denominator).
+
+    The last call's verdicts answer an equal problem, alpha (sol.problem's,
+    which sol.series() reads) and coefficient prefix at its order or below.
     """
-    res = residual_series(problem, sol)
-    return [(j, res.coeff(j).is_zero()) for j in range(sol.order - problem.m + 1)]
+    kmax = sol.order - problem.m  # below 0, residual_series raises
+    alpha = sol.problem.alpha
+    prefix = sol.coeffs[: sol.order + 1]
+    kept = _last_verdicts[0]
+    if kept is not None:
+        kept_problem, kept_alpha, kept_coeffs, kept_verdicts = kept
+        if ((kept_problem is problem or kept_problem == problem)
+                and kept_alpha == alpha and 0 <= kmax < len(kept_verdicts)
+                and kept_coeffs[: sol.order + 1] == prefix):
+            return list(kept_verdicts[: kmax + 1])
+    nonzero = dict(residual_series(problem, sol).coeffs)  # zeros are not stored
+    verdicts = [(j, j not in nonzero) for j in range(kmax + 1)]
+    _last_verdicts[0] = (problem, alpha, prefix, tuple(verdicts))
+    return verdicts
 
 
 def mittag_leffler_form(sol: SeriesSolution) -> str | None:

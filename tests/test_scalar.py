@@ -660,6 +660,26 @@ def test_signature_product_cache_is_bounded(delay_problem, monkeypatch):
     assert 0 < sum(map(len, _PRODUCTS.values())) <= 40
 
 
+def test_reverse_signature_products_are_copied(monkeypatch):
+    g = Scalar.gamma
+    a = g(Fraction(1, 7)) + g(Fraction(2, 7))
+    b = g(Fraction(3, 7)) * Scalar.rational_power(2, Fraction(1, 7)) + g(Fraction(5, 7))
+    _clear_products()
+    calls = [0]
+    sig_mul = scalar._sig_mul
+
+    def counting(ka, kb):
+        calls[0] += 1
+        return sig_mul(ka, kb)
+
+    monkeypatch.setattr(scalar, "_sig_mul", counting)
+    ab = a * b
+    assert calls[0] == scalar._products_stored == 4
+    assert b * a == ab
+    assert calls[0] == 4  # each (b, a) pair is the reverse of a stored (a, b)
+    assert scalar._products_stored == 8  # and each copy counts against the limit
+
+
 def test_sources_are_stable():
     rng = random.Random(104)
     for _ in range(50):

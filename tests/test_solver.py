@@ -24,6 +24,7 @@ from fracseries import solver
 from fracseries.solver import (
     SeriesSolution,
     _drop_engine,
+    _drop_verdicts,
     _Engine,
     apply_rhs,
     mittag_leffler_form,
@@ -582,6 +583,129 @@ def test_residual_needs_enough_orders(delay_problem):
     with pytest.raises(ProblemError):
         residual_series(delay_problem, short)
     assert residual_series(delay_problem, sol).trunc == 4
+
+
+def _fresh_verdicts(problem, sol):
+    res = residual_series(problem, sol)
+    return [(j, res.coeff(j).is_zero()) for j in range(sol.order - problem.m + 1)]
+
+
+def _count_diff_x(monkeypatch):
+    calls = [0]
+    diff_x = Expr.diff_x
+
+    def counting(self, n=1):
+        calls[0] += 1
+        return diff_x(self, n)
+
+    monkeypatch.setattr(Expr, "diff_x", counting)
+    return calls
+
+
+def test_residual_orders_reuse_the_last_verdicts(monkeypatch, diffusion_problem):
+    p = diffusion_problem
+    _drop_verdicts()
+    big = solve(p, 40)
+    passed = [(j, True) for j in range(40)]
+    calls = _count_diff_x(monkeypatch)
+    first = residual_orders(p, big)
+    assert first == passed and calls[0] > 0
+
+    # each list returned, computed or kept, is the caller's own
+    calls[0] = 0
+    first[0] = (0, False)
+    again = residual_orders(p, big)
+    assert again == passed and again is not first
+    again[0] = (0, False)
+    assert residual_orders(p, big) == passed
+
+    # a lower order of the same problem, or of an == one: the kept verdicts
+    small = solve(p, 20)
+    for caller in (p, dataclasses.replace(p, alpha=p.alpha)):
+        assert residual_orders(caller, small) == passed[:20]
+    assert calls[0] == 0
+
+    # a corrupted coefficient is another prefix: recomputed, FAIL at its first order
+    bad = small.replace_coeff(11, small.coeff(11) + Expr.one())
+    verdicts = residual_orders(p, bad)
+    assert calls[0] > 0
+    assert verdicts == _fresh_verdicts(p, bad)
+    assert next(j for j, ok in verdicts if not ok) == 11 - p.m
+
+    # the kept FAIL is not returned for the corrected solution
+    calls[0] = 0
+    assert residual_orders(p, small) == passed[:20]
+    assert calls[0] > 0
+
+    # a higher order than the kept one is recomputed
+    calls[0] = 0
+    assert residual_orders(p, big) == passed
+    assert calls[0] > 0
+
+    # so is the same prefix read at another alpha (sol.series() takes
+    # sol.problem's): kolmogorov's affine coefficients pass at any alpha
+    calls[0] = 0
+    other = dataclasses.replace(big, problem=dataclasses.replace(p, alpha=Fraction(1, 2)))
+    assert residual_orders(p, other) == passed
+    assert calls[0] > 0
+
+
+def test_residual_orders_key_on_the_solutions_alpha(delay_problem):
+    # burgers-delay's coefficients at alpha = 1 are all x; read at alpha 1/2
+    # they fail from order 1 on, so verdicts kept at alpha 1 must not answer
+    _drop_verdicts()
+    p = dataclasses.replace(delay_problem, alpha=Fraction(1))
+    sol = solve(p, 8)
+    assert all(ok for _, ok in residual_orders(p, sol))
+    half = dataclasses.replace(sol, problem=delay_problem)
+    verdicts = residual_orders(p, half)
+    assert verdicts == _fresh_verdicts(p, half)
+    assert not verdicts[1][1]
+
+
+def test_residual_orders_of_a_short_coefficient_tuple():
+    # coefficients past the tuple's end read as zero, so two orders can share
+    # one tuple: the kept verdicts answer only up to their own order
+    heat = _problem(1, 1, [Expr.x()], [_term(n=2)])  # psi = x at every order
+    _drop_verdicts()
+    for K in (6, 10, 3):
+        sol = SeriesSolution(heat, K, (Expr.x(),))
+        assert residual_orders(heat, sol) == [(j, True) for j in range(K)]
+
+
+def test_residual_orders_that_raise_keep_the_last_record(diffusion_problem):
+    p = diffusion_problem
+    _drop_verdicts()
+    sol = solve(p, 6)
+    residual_orders(p, sol)
+    kept = solver._last_verdicts[0]
+    with pytest.raises(ProblemError):
+        residual_orders(p, solve(p, 0))
+    # x^3 survives x^2*Dx(psi,2), whose exptime(1) factor is off the alpha-1/2 grid
+    off_grid = dataclasses.replace(
+        sol.replace_coeff(2, Expr.x() ** 3),
+        problem=dataclasses.replace(p, alpha=Fraction(1, 2)),
+    )
+    with pytest.raises(TimeCoefficientIncompatible):
+        residual_orders(p, off_grid)
+    assert solver._last_verdicts[0] is kept
+
+
+def test_reused_verdicts_equal_a_fresh_residual(delay_problem, wave_problem):
+    # shuffled orders, repeats and corruptions: every answer, kept or
+    # recomputed, equals the verdicts of residual_series at that order
+    rng = random.Random(19)
+    _drop_verdicts()
+    problems = [dataclasses.replace(delay_problem, alpha=Fraction(a))
+                for a in ("1/2", "2/7", "1")] + [wave_problem]
+    for p in problems:
+        top = 6 if p.alpha == Fraction(2, 7) else 9
+        for K in [top] + [rng.randint(p.m, top) for _ in range(5)] + [top]:
+            sol = solve(p, K)
+            if rng.random() < 0.4:
+                k = rng.randrange(K + 1)
+                sol = sol.replace_coeff(k, sol.coeff(k) + Expr.x())
+            assert residual_orders(p, sol) == _fresh_verdicts(p, sol), (p.name, p.alpha, K)
 
 
 def test_monotone_refinement(diffusion_problem):
