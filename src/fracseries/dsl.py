@@ -12,6 +12,8 @@ Files are line-oriented `key = value` with `#` comments:
 Expression grammar (same for ic/rhs/exact/param values, with per-context
 name rules): `^` is right-associative and binds tightest except for the
 delay suffix `@(c*x, c*t)`; then unary minus; then `*` `/`; then `+` `-`.
+Each `@` argument is read in its own variable, x first and t second, and
+may be any positive rational constant multiple of it (x/2, 3*x/2, (1+1)*t).
 Numbers are exact rationals in the ASCII digits 0-9 (any other digit
 character is an unexpected character); decimals convert exactly.
 Functions: exp, sinh, cosh, sqrt, and in the rhs also Dx(E[, n]),
@@ -28,7 +30,6 @@ and differentiates its coefficients.
 
 from __future__ import annotations
 
-import contextlib
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -38,13 +39,12 @@ from typing import Iterable, Optional
 
 from .errors import ParseError, ProblemError, ScalarError
 from .expr import Expr
-from .problems import ExactSolution, Problem, RhsFactor, RhsOperator, RhsTerm
+from .problems import _RESERVED_NAMES, ExactSolution, Problem, RhsFactor, RhsOperator, RhsTerm
 from .scalar import Scalar
 
 _FUNCS_X = ("exp", "sinh", "cosh", "sqrt")
 _FUNCS_RHS = ("Dx", "exptime", "polytime")
-_RESERVED = ("x", "t", "psi")
-_ALL_BUILTIN = frozenset(_FUNCS_X) | frozenset(_FUNCS_RHS) | frozenset(_RESERVED)
+_ALL_BUILTIN = frozenset(_FUNCS_X) | frozenset(_FUNCS_RHS) | _RESERVED_NAMES
 
 _MAX_DEPTH = 200
 _MAX_DX_ORDER = 20
@@ -246,23 +246,28 @@ class _Parser:
 # -- name environment ------------------------------------------------------------
 
 class _Env:
-    """Which bare names are acceptable; None means any new name is a parameter."""
+    """What lowering reads; inside_power and reading return new environments.
 
-    def __init__(self, params: Optional[Iterable[str]] = None):
-        self.params = None if params is None else set(params)
-        # product of the exponents of the powers whose bases are being lowered
-        # (each counted as at least 1), so that a power of an x-dependent base
-        # is bounded together with the powers around it
-        self.power = Fraction(1)
+    params: acceptable bare names (None: any new name is a parameter); var:
+    the variable lowered as Expr.x(), 't' in a time scaling; power: product of
+    the exponents of the powers whose bases are being lowered (each at least
+    1), so a power of a var-dependent base is bounded with those around it.
+    """
 
-    @contextlib.contextmanager
-    def inside_power(self, e: Fraction):
-        outer = self.power
-        self.power = outer * max(abs(e), 1)
-        try:
-            yield
-        finally:
-            self.power = outer
+    __slots__ = ("params", "var", "power")
+
+    def __init__(self, params: Optional[Iterable[str]] = None, var: str = "x",
+                 power: Fraction = Fraction(1)):
+        self.params = None if params is None else frozenset(params)
+        self.var = var
+        self.power = power
+
+    def inside_power(self, e: Fraction) -> "_Env":
+        return _Env(self.params, self.var, self.power * max(abs(e), 1))
+
+    def reading(self, var: str) -> "_Env":
+        """The same name rules, reading var outside any power."""
+        return _Env(self.params, var)
 
     def check_param(self, name: str, pos) -> None:
         if name in _ALL_BUILTIN:
@@ -294,9 +299,9 @@ def _lower_expr(node: tuple, env: _Env, where: str = "this expression") -> Expr:
         return Expr.const(node[2])
     if tag == "name":
         name = node[2]
-        if name == "x":
+        if name == env.var:
             return Expr.x()
-        if name in ("t", "psi"):
+        if name in _RESERVED_NAMES:
             raise _unsupported(name, pos, where)
         env.check_param(name, pos)
         return Expr.const(Scalar.param(name))
@@ -314,7 +319,7 @@ def _lower_expr(node: tuple, env: _Env, where: str = "this expression") -> Expr:
         ds = den.as_scalar()
         if ds is None:
             raise ParseError(
-                "cannot divide by an expression containing x", *node[3][1]
+                f"cannot divide by an expression containing {env.var}", *node[3][1]
             )
         if ds.is_zero():
             raise ParseError("division by zero", *node[3][1])
@@ -329,21 +334,20 @@ def _lower_expr(node: tuple, env: _Env, where: str = "this expression") -> Expr:
         if fname == "sqrt":
             s = arg.as_scalar()
             if s is None:
-                raise ParseError("sqrt argument must not depend on x", *args[0][1])
+                raise ParseError(f"sqrt argument must not depend on {env.var}", *args[0][1])
             return Expr.const(_scalar_pow(s, Fraction(1, 2), pos))
-        mu = _linear_coeff(arg, args[0][1])
+        mu = _linear_coeff(arg, args[0][1], env.var)
         if fname == "exp":
             return Expr.exponential(mu)
         return Expr.cosh_of(mu) if fname == "cosh" else Expr.sinh_of(mu)
     raise _unsupported(tag, pos, where)
 
 
-def _linear_coeff(e: Expr, pos) -> Scalar:
+def _linear_coeff(e: Expr, pos, var: str, what: str = "function argument") -> Scalar:
+    """mu where e, read in var, is mu*var; else a ParseError at pos."""
     mu = e.diff_x().as_scalar()
     if mu is None or not (e - Expr.x().scalar_mul(mu)).is_zero():
-        raise ParseError(
-            "function argument must be linear in x (of the form c*x)", *pos
-        )
+        raise ParseError(f"{what} must be linear in {var} (of the form c*{var})", *pos)
     return mu
 
 
@@ -357,14 +361,13 @@ def _scalar_pow(base: Scalar, e: Fraction, pos) -> Scalar:
 def _lower_pow(node: tuple, env: _Env, where: str) -> Expr:
     _, pos, base_node, exp_node = node
     e = _const_fraction(exp_node, env, "exponent")
-    with env.inside_power(e):
-        base = _lower_expr(base_node, env, where)
+    base = _lower_expr(base_node, env.inside_power(e), where)
     s = base.as_scalar()
     if s is not None:
         return Expr.const(_scalar_pow(s, e, pos))
     if e.denominator != 1 or e < 0:
         raise ParseError(
-            "power of an x-dependent expression must be a nonnegative integer",
+            f"power of an expression in {env.var} must be a nonnegative integer",
             *pos,
         )
     total = e * env.power
@@ -378,7 +381,7 @@ def _lower_scalar(node: tuple, env: _Env, what: str) -> Scalar:
     e = _lower_expr(node, env, what)
     s = e.as_scalar()
     if s is None:
-        raise ParseError(f"{what} must not depend on x", *node[1])
+        raise ParseError(f"{what} must not depend on {env.var}", *node[1])
     return s
 
 
@@ -498,15 +501,14 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
             return [(_ONE, _ONE, ())]
         if p > _MAX_PSI_POWER:
             raise ParseError(f"unknown-function power {p} out of range", *pos)
-        with env.inside_power(e):
-            base = _expand_rhs(node[2], env)
+        base = _expand_rhs(node[2], env.inside_power(e))
         acc = base
         for _ in range(p - 1):
             acc = _cross(acc, base, pos)
         return acc
     if tag == "at":
-        xs = _extract_scale(node[3], "x")
-        ts = _extract_scale(node[4], "t")
+        xs = _extract_scale(node[3], env, "x")
+        ts = _extract_scale(node[4], env, "t")
         return [
             (c.scale_x(xs), tc.scale_x(ts),
              tuple((n, kx * xs, kt * ts, inner) for n, kx, kt, inner in k))
@@ -564,41 +566,13 @@ def _dx_product(prod: tuple, n: int) -> Optional[tuple]:
     return Expr.const(c), tcoef, ((n, Fraction(1), Fraction(1), inner),)
 
 
-def _extract_scale(node: tuple, var: str) -> Fraction:
-    coef, deg = _scale_walk(node, var)
-    if deg != 1:
-        raise ParseError(
-            f"scaling must be of the form c*{var} or {var}/c", *node[1]
-        )
-    if coef <= 0:
-        raise ParseError(f"scaling of {var} must be positive", *node[1])
-    return coef
-
-
-def _scale_walk(node: tuple, var: str) -> tuple[Fraction, int]:
-    tag, pos = node[0], node[1]
-    if tag == "num":
-        return node[2], 0
-    if tag == "name" and node[2] == var:
-        return Fraction(1), 1
-    if tag == "neg":
-        c, d = _scale_walk(node[2], var)
-        return -c, d
-    if tag == "mul":
-        ca, da = _scale_walk(node[2], var)
-        cb, db = _scale_walk(node[3], var)
-        if da + db > 1:
-            raise ParseError(f"scaling must be linear in {var}", *pos)
-        return ca * cb, da + db
-    if tag == "div":
-        ca, da = _scale_walk(node[2], var)
-        cb, db = _scale_walk(node[3], var)
-        if db != 0:
-            raise ParseError(f"{var} may not appear in a scale divisor", *node[3][1])
-        if cb == 0:
-            raise ParseError("division by zero", *node[3][1])
-        return ca / cb, da
-    raise ParseError(f"scaling must be of the form c*{var} or {var}/c", *pos)
+def _extract_scale(node: tuple, env: _Env, var: str) -> Fraction:
+    """c of an @ argument c*var, read in var; c must be a positive rational."""
+    e = _lower_expr(node, env.reading(var), f"a scaling of {var}")
+    c = _linear_coeff(e, node[1], var, "scaling").as_fraction()
+    if c is None or c <= 0:
+        raise ParseError(f"scaling of {var} must be a positive rational", *node[1])
+    return c
 
 
 def _factors(keys: tuple) -> tuple[RhsFactor, ...]:

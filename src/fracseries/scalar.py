@@ -605,7 +605,8 @@ class Scalar:
         if not self.num:
             return o
         if self.dd == o.dd and self.den == o.den:
-            return Scalar._make(*_sum_add(self.num, self.nd, o.num, o.nd), self.den, self.dd)
+            den = self.den if self.den is _ONE_SUM else dict(self.den)  # _make reduces a dict
+            return Scalar._make(*_sum_add(self.num, self.nd, o.num, o.nd), den, self.dd)
         na, da = _sum_mul(self.num, self.nd, o.den, o.dd)
         nb, db = _sum_mul(o.num, o.nd, self.den, self.dd)
         return Scalar._make(*_sum_add(na.items(), da, nb.items(), db),

@@ -46,6 +46,11 @@ class SeriesSolution:
     coeffs: tuple[Expr, ...]
     linear_path_used: bool = False
 
+    def __post_init__(self):
+        if len(self.coeffs) != self.order + 1:
+            raise ProblemError(f"order {self.order} needs {self.order + 1} "
+                               f"coefficients, got {len(self.coeffs)}")
+
     def coeff(self, k: int) -> Expr:
         return self.coeffs[k]
 
@@ -247,11 +252,6 @@ class _Engine:
             self.coeffs.append(rhs[len(self.coeffs) - m])
         return tuple(self.coeffs[: order + 1])
 
-    def close(self) -> None:
-        """Release the streams, even while something still holds the engine."""
-        self._summed.clear()
-        self._images.clear()
-
 
 # The engine of the last problem solved: one problem's streams at most. A list
 # changed in place, so solving never rebinds a module attribute; the lock keeps
@@ -261,8 +261,7 @@ _engine_lock = threading.Lock()
 
 
 def _drop_engine() -> None:
-    while _last_engine:
-        _last_engine.pop().close()
+    _last_engine.clear()
 
 
 def solve(problem: Problem, order: int) -> SeriesSolution:
@@ -350,17 +349,16 @@ def residual_orders(problem: Problem, sol: SeriesSolution) -> list[tuple[int, bo
     """
     kmax = sol.order - problem.m  # below 0, residual_series raises
     alpha = sol.problem.alpha
-    prefix = sol.coeffs[: sol.order + 1]
     kept = _last_verdicts[0]
     if kept is not None:
         kept_problem, kept_alpha, kept_coeffs, kept_verdicts = kept
         if ((kept_problem is problem or kept_problem == problem)
                 and kept_alpha == alpha and 0 <= kmax < len(kept_verdicts)
-                and kept_coeffs[: sol.order + 1] == prefix):
+                and kept_coeffs[: sol.order + 1] == sol.coeffs):
             return list(kept_verdicts[: kmax + 1])
     nonzero = dict(residual_series(problem, sol).coeffs)  # zeros are not stored
     verdicts = [(j, j not in nonzero) for j in range(kmax + 1)]
-    _last_verdicts[0] = (problem, alpha, prefix, tuple(verdicts))
+    _last_verdicts[0] = (problem, alpha, sol.coeffs, tuple(verdicts))
     return verdicts
 
 

@@ -118,6 +118,41 @@ def test_rhs_structure_delay_scaling():
     assert f.n == 0 and f.power == 1
 
 
+@pytest.mark.parametrize("xarg, targ, want", [
+    ("x/2", "t", (Fraction(1, 2), 1)),
+    ("3*x/2", "t", (Fraction(3, 2), 1)),
+    ("x*3/2", "t", (Fraction(3, 2), 1)),
+    ("0.5*x", "t", (Fraction(1, 2), 1)),
+    ("x", "2*t", (1, 2)),
+    ("x", "t/2/2", (1, Fraction(1, 4))),
+    # any constant rational multiple, as lowering reads it
+    ("(1+1)*x", "t", (2, 1)),
+    ("x^1", "t", (1, 1)),
+    # rejected: the slot whose argument holds the error
+    ("-x", "t", "x"),
+    ("x", "0*t", "t"),
+    ("x*x", "t", "x"),
+    ("x/x", "t", "x"),
+    ("x/0", "t", "x"),
+    ("nu*x", "t", "x"),
+    ("2^(1/2)*x", "t", "x"),
+    ("exp(x)", "t", "x"),
+    ("t", "t", "x"),
+    ("x", "x", "t"),
+])
+def test_scaling_arguments(xarg, targ, want):
+    text = f"psi@({xarg}, {targ})"
+    if isinstance(want, tuple):
+        (term,) = parse_rhs(text).terms
+        (f,) = term.factors
+        assert (f.xscale, f.tscale) == want
+        return
+    with pytest.raises(ParseError) as err:
+        parse_rhs(text)
+    arg, start = (xarg, len("psi@(")) if want == "x" else (targ, text.index(", ") + 2)
+    assert err.value.line == 1 and start < err.value.col <= start + len(arg), str(err.value)
+
+
 def test_rhs_scale_binds_to_nearest_factor():
     rhs = parse_rhs("Dx(psi)@(x, t/2)*psi")
     (term,) = rhs.terms

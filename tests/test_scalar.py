@@ -124,6 +124,17 @@ def test_field_ops():
         Scalar.one() / Scalar.zero()
 
 
+def test_sums_over_one_multi_monomial_denominator():
+    # operands over one equal multi-monomial denominator add their numerators
+    # and keep that denominator
+    nu = Scalar.param("nu")
+    a, b = 1 / (1 + nu), nu / (1 + nu)
+    assert a + a == 2 / (1 + nu)
+    assert (a + b).is_one()
+    assert (a - a).is_zero()
+    assert (a + a).eval({"nu": 2.0}) == pytest.approx(2 / 3)
+
+
 def test_gamma_atoms_resolve_small_integers():
     # every integer argument collapses to an exact factorial
     assert Scalar.gamma(1) == Scalar.one()

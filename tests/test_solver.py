@@ -664,13 +664,16 @@ def test_residual_orders_key_on_the_solutions_alpha(delay_problem):
 
 
 def test_residual_orders_of_a_short_coefficient_tuple():
-    # coefficients past the tuple's end read as zero, so two orders can share
-    # one tuple: the kept verdicts answer only up to their own order
-    heat = _problem(1, 1, [Expr.x()], [_term(n=2)])  # psi = x at every order
+    # a solution holds exactly order + 1 coefficients, so its readers cannot
+    # disagree on the missing ones
+    growth = _problem(1, 1, [Expr.x()], [_term()])  # D_t psi = psi: x at every order
+    with pytest.raises(ProblemError, match="needs 11 coefficients, got 1"):
+        SeriesSolution(growth, 10, (Expr.x(),))
+    # the kept verdicts answer only up to their own order
     _drop_verdicts()
     for K in (6, 10, 3):
-        sol = SeriesSolution(heat, K, (Expr.x(),))
-        assert residual_orders(heat, sol) == [(j, True) for j in range(K)]
+        sol = SeriesSolution(growth, K, (Expr.x(),) * (K + 1))
+        assert residual_orders(growth, sol) == [(j, True) for j in range(K)]
 
 
 def test_residual_orders_that_raise_keep_the_last_record(diffusion_problem):
