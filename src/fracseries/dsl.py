@@ -26,6 +26,10 @@ distributes over sums, and argument scalings compose multiplicatively. Dx
 of a product stays one factor that holds the product (Dx(psi^2, 2) is a
 single factor of order 2 over psi^2), so the solver forms the product once
 and differentiates its coefficients.
+
+Lowering is bounded: every exponent is at most 99 in absolute value (a power
+of psi at most 12), and each product it forms, a squaring step of a power
+too, must have degree at most 99 and at most _MAX_PAIRS scalar monomial pairs.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Iterable, Optional
 from .errors import ParseError, ProblemError, ScalarError
 from .expr import Expr
 from .problems import _RESERVED_NAMES, ExactSolution, Problem, RhsFactor, RhsOperator, RhsTerm
-from .scalar import Scalar
+from .scalar import Scalar, power_by_squaring
 
 _FUNCS_X = ("exp", "sinh", "cosh", "sqrt")
 _FUNCS_RHS = ("Dx", "exptime", "polytime")
@@ -51,6 +55,9 @@ _MAX_DX_ORDER = 20
 _MAX_X_POWER = 99
 _MAX_PSI_POWER = 12
 _MAX_PRODUCTS = 20000
+# Scalar monomial pairs one product may multiply. The rhs corpora need at most 784, the
+# shipped problems 3, cosh(x)^99*cosh(x)^99 10,000, and three or more such factors 19,900.
+_MAX_PAIRS = 16384
 
 
 # -- tokens -------------------------------------------------------------------
@@ -246,28 +253,13 @@ class _Parser:
 # -- name environment ------------------------------------------------------------
 
 class _Env:
-    """What lowering reads; inside_power and reading return new environments.
+    """Name rules (params; None: any new name is a parameter) and var, lowered as x."""
 
-    params: acceptable bare names (None: any new name is a parameter); var:
-    the variable lowered as Expr.x(), 't' in a time scaling; power: product of
-    the exponents of the powers whose bases are being lowered (each at least
-    1), so a power of a var-dependent base is bounded with those around it.
-    """
+    __slots__ = ("params", "var")
 
-    __slots__ = ("params", "var", "power")
-
-    def __init__(self, params: Optional[Iterable[str]] = None, var: str = "x",
-                 power: Fraction = Fraction(1)):
+    def __init__(self, params: Optional[Iterable[str]] = None, var: str = "x"):
         self.params = None if params is None else frozenset(params)
         self.var = var
-        self.power = power
-
-    def inside_power(self, e: Fraction) -> "_Env":
-        return _Env(self.params, self.var, self.power * max(abs(e), 1))
-
-    def reading(self, var: str) -> "_Env":
-        """The same name rules, reading var outside any power."""
-        return _Env(self.params, var)
 
     def check_param(self, name: str, pos) -> None:
         if name in _ALL_BUILTIN:
@@ -293,6 +285,24 @@ def _unsupported(tag: str, pos, where: str) -> ParseError:
 
 # -- lowering: functions of x ------------------------------------------------------
 
+_ONE = Expr.one()
+
+
+def _monomials(e: Expr) -> int:  # of its coefficients; a denominator of 1 not counted
+    return sum(len(c.num) + len(c.den) - 1 for _, poly in e.terms for c in poly)
+
+
+def _mul(a: Expr, b: Expr, pos) -> Expr:
+    """a*b, once its degree and its pairs of scalar monomials are in bounds."""
+    degree = sum(max((len(poly) for _, poly in e.terms), default=1) - 1 for e in (a, b))
+    if degree > _MAX_X_POWER:
+        raise ParseError(f"degree {degree} out of supported range", *pos)
+    pairs = _monomials(a) * _monomials(b)
+    if pairs > _MAX_PAIRS:
+        raise ParseError(f"product of {pairs} monomial pairs out of supported range", *pos)
+    return a * b
+
+
 def _lower_expr(node: tuple, env: _Env, where: str = "this expression") -> Expr:
     tag, pos = node[0], node[1]
     if tag == "num":
@@ -312,7 +322,7 @@ def _lower_expr(node: tuple, env: _Env, where: str = "this expression") -> Expr:
     if tag == "sub":
         return _lower_expr(node[2], env, where) - _lower_expr(node[3], env, where)
     if tag == "mul":
-        return _lower_expr(node[2], env, where) * _lower_expr(node[3], env, where)
+        return _mul(_lower_expr(node[2], env, where), _lower_expr(node[3], env, where), pos)
     if tag == "div":
         num = _lower_expr(node[2], env, where)
         den = _lower_expr(node[3], env, where)
@@ -361,20 +371,16 @@ def _scalar_pow(base: Scalar, e: Fraction, pos) -> Scalar:
 def _lower_pow(node: tuple, env: _Env, where: str) -> Expr:
     _, pos, base_node, exp_node = node
     e = _const_fraction(exp_node, env, "exponent")
-    base = _lower_expr(base_node, env.inside_power(e), where)
+    base = _lower_expr(base_node, env, where)
     s = base.as_scalar()
-    if s is not None:
+    if s is None and (e.denominator != 1 or e < 0):
+        raise ParseError(f"power of an expression in {env.var} must be a nonnegative integer", *pos)
+    if abs(e) > _MAX_X_POWER:
+        raise ParseError(f"exponent {e} out of supported range", *pos)
+    if e.denominator != 1:  # of a constant
         return Expr.const(_scalar_pow(s, e, pos))
-    if e.denominator != 1 or e < 0:
-        raise ParseError(
-            f"power of an expression in {env.var} must be a nonnegative integer",
-            *pos,
-        )
-    total = e * env.power
-    if total > _MAX_X_POWER:
-        nested = "" if total == e else f" (nested in powers: {total})"
-        raise ParseError(f"exponent {e}{nested} out of supported range", *pos)
-    return base ** int(e)
+    power = power_by_squaring(base, int(abs(e)), _ONE, lambda a, b: _mul(a, b, pos))
+    return power if e >= 0 else Expr.const(_scalar_pow(power.as_scalar(), -1, pos))
 
 
 def _lower_scalar(node: tuple, env: _Env, what: str) -> Scalar:
@@ -412,10 +418,8 @@ def _lower_exact(node: tuple, env: _Env):
             raise _unsupported("psi", pos, "a reference solution")
         env.check_param(name, pos)
         return ("param", name)
-    if tag == "neg":
-        return ("neg", _lower_exact(node[2], env))
     if tag in _EXACT_TAGS:
-        return (tag, _lower_exact(node[2], env), _lower_exact(node[3], env))
+        return (tag, *(_lower_exact(n, env) for n in node[2:]))
     if tag == "call":
         fname, args = node[2], node[3]
         if fname not in _FUNCS_X:
@@ -433,7 +437,6 @@ def _lower_exact(node: tuple, env: _Env):
 # (D_x^n B)(xscale*x, tscale*t) with B = psi (inner None) or the RhsOperator
 # inner.
 
-_ONE = Expr.one()
 _PSI = (0, Fraction(1), Fraction(1), None)
 
 
@@ -445,10 +448,8 @@ def _contains_special(node: tuple) -> bool:
         return node[2] in _FUNCS_RHS or any(_contains_special(a) for a in node[3])
     if tag == "at":
         return True
-    if tag == "neg":
-        return _contains_special(node[2])
-    if tag in ("add", "sub", "mul", "div", "pow"):
-        return _contains_special(node[2]) or _contains_special(node[3])
+    if tag in ("neg", "add", "sub", "mul", "div", "pow"):
+        return any(_contains_special(n) for n in node[2:])
     return False
 
 
@@ -456,7 +457,7 @@ def _cross(lhs: list, rhs: list, pos) -> list:
     out = []
     for ca, ta, ka in lhs:
         for cb, tb, kb in rhs:
-            out.append((ca * cb, ta * tb, ka + kb))
+            out.append((_mul(ca, cb, pos), _mul(ta, tb, pos), ka + kb))
             if len(out) > _MAX_PRODUCTS:
                 raise ParseError("right-hand side expands to too many terms", *pos)
     return out
@@ -497,13 +498,11 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
                 *pos,
             )
         p = int(e)
-        if p == 0:
-            return [(_ONE, _ONE, ())]
         if p > _MAX_PSI_POWER:
             raise ParseError(f"unknown-function power {p} out of range", *pos)
-        base = _expand_rhs(node[2], env.inside_power(e))
-        acc = base
-        for _ in range(p - 1):
+        base = _expand_rhs(node[2], env)  # lowered under ^0 too, to report its faults
+        acc = [(_ONE, _ONE, ())]
+        for _ in range(p):
             acc = _cross(acc, base, pos)
         return acc
     if tag == "at":
@@ -568,7 +567,7 @@ def _dx_product(prod: tuple, n: int) -> Optional[tuple]:
 
 def _extract_scale(node: tuple, env: _Env, var: str) -> Fraction:
     """c of an @ argument c*var, read in var; c must be a positive rational."""
-    e = _lower_expr(node, env.reading(var), f"a scaling of {var}")
+    e = _lower_expr(node, _Env(env.params, var), f"a scaling of {var}")
     c = _linear_coeff(e, node[1], var, "scaling").as_fraction()
     if c is None or c <= 0:
         raise ParseError(f"scaling of {var} must be a positive rational", *node[1])

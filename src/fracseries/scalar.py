@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -111,13 +112,13 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def power_by_squaring(base, n: int, one):
-    """base**n for an int n >= 0 in any ring with *, one its unit."""
+def power_by_squaring(base, n: int, one, mul=operator.mul):
+    """base**n for an int n >= 0 in any ring, one its unit and mul its product."""
     acc = one
     while n:
         if n & 1:
-            acc = acc * base
-        base = base * base if n > 1 else base
+            acc = mul(acc, base)
+        base = mul(base, base) if n > 1 else base
         n >>= 1
     return acc
 

@@ -434,8 +434,9 @@ def test_only_ascii_digits_are_numbers(text, col, fragment):
     "ic0 = {}", "param k = {}", "forcing 1 = {}", "rhs = Dx(psi) + {}*psi",
 ])
 def test_nested_powers_are_bounded_before_expanding(power, line):
-    # the exponents multiply (1521 and 1600 here); the bound on one power of
-    # an x-dependent base holds for the product, checked before any expansion
+    # each squaring step is checked before it is formed, so these fail on a
+    # step's pairs of scalar monomials long before the full powers (of
+    # exponent 1521 and 1600) would be expanded
     lines = {"ic0": "x", "rhs": "Dx(psi)"}
     key, _, value = line.format(power).partition(" = ")
     lines[key] = value
@@ -447,18 +448,68 @@ def test_nested_powers_are_bounded_before_expanding(power, line):
     assert time.perf_counter() - start < 1.0
     e = err.value
     assert e.line == list(lines).index(key) + 4 and e.col is not None, str(e)
-    assert "nested in powers" in e.message and "out of supported range" in e.message
+    assert "monomial pairs" in e.message and "out of supported range" in e.message
 
 
 def test_nested_powers_within_the_bound_expand():
     assert parse_expr("(x^9)^11") == parse_expr("x^99")
     assert parse_expr("((cosh(x))^3)^0") == Expr.one()
     assert len(parse_expr("(cosh(x)^9)^11").terms) == 100
-    with pytest.raises(ParseError, match=r"exponent 10 \(nested in powers: 100\)"):
+    with pytest.raises(ParseError, match=r"degree 100 out of supported range"):
         parse_expr("(x^10)^10")
-    with pytest.raises(ParseError, match=r"exponent 9 \(nested in powers: 108\)"):
+    with pytest.raises(ParseError, match=r"degree 108 out of supported range"):
         parse_rhs("(x^9*psi)^12")
     assert parse_rhs("(x^9*psi)^11") == parse_rhs("x^99*psi^11")
+
+
+@pytest.mark.parametrize("expr", [
+    "cosh(x)^99*cosh(x)^99*cosh(x)^99*cosh(x)^99", "(x+cosh(x))^99",
+    "(1+nu+omega)^99", "(1+nu+omega)^-99", "3^10000000",
+])
+@pytest.mark.parametrize("line", [
+    "ic0 = {}", "param k = {}", "forcing 1 = {}", "rhs = Dx(psi) + {}*psi",
+])
+def test_swelling_products_fail_fast(expr, line):
+    # every exponent is at most 99, and each product, a squaring step of a
+    # power too, is checked before it is formed
+    lines = {"param nu": "", "param omega": "", "ic0": "x", "rhs": "Dx(psi)"}
+    key, _, value = line.format(expr).partition(" = ")
+    lines[key] = value
+    text = "name = p\nalpha = 1/2\norder = 1\n" + "".join(
+        f"{k} = {v}\n" for k, v in lines.items())
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert time.perf_counter() - start < 1.0
+    e = err.value
+    assert e.line == list(lines).index(key) + 4 and e.col is not None, str(e)
+    assert "out of supported range" in e.message, str(e)
+
+
+def test_products_within_the_bounds_expand():
+    assert len(parse_expr("cosh(x)^99*cosh(x)^99").terms) == 199
+    assert len(parse_expr("(x+cosh(x))^20").terms) == 41
+    assert len(parse_expr("(cosh(x)^10)^10").terms) == 101
+    # the degree of each product is bounded like that of a power, in t too
+    for text in ("x^50*x^50", "(x+1)^99*(x+1)^99"):
+        with pytest.raises(ParseError, match=r"degree \d+ out of supported range"):
+            parse_expr(text)
+    t50 = "polytime(" + "0," * 50 + "1)"
+    with pytest.raises(ParseError, match=r"degree 100 out of supported range"):
+        parse_rhs(f"{t50}*{t50}*psi")
+
+
+@pytest.mark.parametrize("text, col, fragment", [
+    ("(psi/0)^0 + psi", 6, "division by zero"),
+    ("(psi@(x/x, t))^0", 9, "cannot divide by an expression containing x"),
+    ("(Dx(psi, 1/2))^0", 11, "derivative order must be a nonnegative integer"),
+])
+def test_a_malformed_base_under_power_zero_is_an_error(text, col, fragment):
+    # the base is lowered before the power folds to 1
+    with pytest.raises(ParseError) as err:
+        parse_rhs(text)
+    e = err.value
+    assert (e.line, e.col) == (1, col) and e.message == fragment, str(e)
 
 
 def test_error_message_includes_position_text():
