@@ -27,9 +27,10 @@ of a product stays one factor that holds the product (Dx(psi^2, 2) is a
 single factor of order 2 over psi^2), so the solver forms the product once
 and differentiates its coefficients.
 
-Lowering is bounded: every exponent is at most 99 in absolute value (a power
-of psi at most 12), and each product it forms, a squaring step of a power
-too, must have degree at most 99 and at most _MAX_PAIRS scalar monomial pairs.
+Lowering is bounded: numbers have at most _MAX_DIGITS characters, exponents
+at most 99 in absolute value (a power of psi 12), and each product it forms, a
+squaring step of a power too, degree at most 99, at most _MAX_PAIRS scalar
+monomial pairs and at most _MAX_BITS bits in its factors' largest integers.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ _MAX_PRODUCTS = 20000
 # Scalar monomial pairs one product may multiply. The rhs corpora need at most 784, the
 # shipped problems 3, cosh(x)^99*cosh(x)^99 10,000, and three or more such factors 19,900.
 _MAX_PAIRS = 16384
+# Bits of the largest integers of a product's two factors, summed, and characters of a number:
+# at most 4 bits and 1 character in the shipped problems and demos, 23 and 5 in the rhs corpora,
+# 470 and 401 in Tier-1. Products and numbers so stay below 1,240 of the 4,300 digits str() takes.
+_MAX_BITS = 4096
+_MAX_DIGITS = 1000
 
 
 # -- tokens -------------------------------------------------------------------
@@ -97,6 +103,8 @@ def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Tok]:
         num = _NUMBER.match(text, i)
         if num:
             lit = num.group()
+            if len(lit) > _MAX_DIGITS:
+                raise ParseError(f"number of {len(lit)} characters out of supported range", ln, cl)
             toks.append(_Tok("num", lit, ln, cl, Fraction(lit)))
             cl += len(lit)
             i = num.end()
@@ -293,13 +301,16 @@ def _monomials(e: Expr) -> int:  # of its coefficients; a denominator of 1 not c
 
 
 def _mul(a: Expr, b: Expr, pos) -> Expr:
-    """a*b, once its degree and its pairs of scalar monomials are in bounds."""
+    """a*b, once its degree, monomial pairs and integer sizes are in bounds."""
     degree = sum(max((len(poly) for _, poly in e.terms), default=1) - 1 for e in (a, b))
     if degree > _MAX_X_POWER:
         raise ParseError(f"degree {degree} out of supported range", *pos)
     pairs = _monomials(a) * _monomials(b)
     if pairs > _MAX_PAIRS:
         raise ParseError(f"product of {pairs} monomial pairs out of supported range", *pos)
+    bits = sum(max((c.bit_size() for f, p in e.terms for c in (f, *p)), default=0) for e in (a, b))
+    if bits > _MAX_BITS:
+        raise ParseError(f"product of {bits}-bit integers out of supported range", *pos)
     return a * b
 
 

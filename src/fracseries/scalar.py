@@ -26,7 +26,7 @@ empty signature. Each of num and den is a tuple of (signature id, int
 numerator) pairs sorted by id, over one positive int denominator (nd, dd)
 whose gcd with the numerators is 1; a denominator equal to 1 is the shared
 unit sum over 1. A product of two monomial sums is then a loop of int
-products and lookups in a bounded table of signature products, which
+products and lookups in a bounded LRU cache of signature products, which
 carries the prime atoms' integer parts out as an int factor; a sum adds
 ints after one lcm rescale; hashing, equality and sorting compare ints.
 Sums and products of Scalars with denominator 1 skip the quotient
@@ -65,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -135,15 +136,20 @@ _ATOMS: list[Atom] = []
 _ATOM_IDS: dict[Atom, int] = {}
 _PRIMES: list[int] = []
 _ATOM_KEYS: list[tuple] = []
+# Held to add an atom or a signature; lookups need none, as an index enters its dict last.
+_INTERN_LOCK = threading.Lock()
 
 
 def _atom_id(atom: Atom) -> int:
     i = _ATOM_IDS.get(atom)
     if i is None:
-        i = _ATOM_IDS[atom] = len(_ATOMS)
-        _ATOMS.append(atom)
-        _PRIMES.append(atom[1] if atom[0] == "r" else 0)
-        _ATOM_KEYS.append(("g", float(atom[1]), atom[1]) if atom[0] == "g" else atom)
+        with _INTERN_LOCK:
+            i = _ATOM_IDS.get(atom)
+            if i is None:
+                _ATOMS.append(atom)
+                _PRIMES.append(atom[1] if atom[0] == "r" else 0)
+                _ATOM_KEYS.append(("g", float(atom[1]), atom[1]) if atom[0] == "g" else atom)
+                i = _ATOM_IDS[atom] = len(_ATOMS) - 1
     return i
 
 
@@ -176,8 +182,11 @@ def _intern_sig(exps: dict[int, tuple[int, int]]) -> tuple[int, Coeff]:
     key = tuple(key)
     k = _SIG_IDS.get(key)
     if k is None:
-        k = _SIG_IDS[key] = len(_SIG_KEYS)
-        _SIG_KEYS.append(key)
+        with _INTERN_LOCK:
+            k = _SIG_IDS.get(key)
+            if k is None:
+                _SIG_KEYS.append(key)
+                k = _SIG_IDS[key] = len(_SIG_KEYS) - 1
     return k, mult
 
 
@@ -224,6 +233,13 @@ def _canonical(item: tuple[int, int]) -> tuple:
     return _sort_key(item[0])
 
 
+# The product is symmetric, so _sum_mul passes each pair in order and one entry serves
+# both. Distinct pairs multiplied in one process: 564 by a delay-sweep benchmark run, 175 by
+# wave-params, none by dense-grid (no atoms), 2,778 by the whole Tier-1 suite, and by
+# burgers-delay at alpha 2/7 (solve plus residual check) 11,319 at K = 12, 36,622 at K = 14
+# and 127,434 at K = 16. An entry costs about 115 bytes; a table of 65,536, cleared whole
+# when full, took that solve at K = 16 from 1.6-1.9 + 1.0-1.1 s to 2.4 + 2.2-2.3 s.
+@functools.lru_cache(maxsize=1 << 17)
 def _sig_mul(ka: int, kb: int) -> tuple[int, int]:
     """The signature of a product of two monomials and its integer factor.
 
@@ -245,38 +261,6 @@ def _sig_mul(ka: int, kb: int) -> tuple[int, int]:
             n, d = n // g, d // g
         exps[a] = (n, d)
     return _intern_sig(exps)
-
-
-# _PRODUCTS[a][b] is _sig_mul(a, b) for nonempty signatures a and b. The
-# table is cleared whole when it holds _PRODUCTS_LIMIT entries. Distinct
-# pairs multiplied in one process: 564 by a delay-sweep benchmark run, 175 by
-# wave-params, none by dense-grid (no atoms), 2,778 by the whole Tier-1 suite,
-# and by burgers-delay at alpha 2/7 (solve plus residual check) 11,319 at
-# K = 12, 36,622 at K = 14 and 127,434 at K = 16. An entry costs about 115
-# bytes of resident memory; a limit of 65,536 cleared the table at K = 16
-# and took that solve from 1.6-1.9 + 1.0-1.1 s to 2.4 + 2.2-2.3 s.
-_PRODUCTS_LIMIT = 1 << 17
-_PRODUCTS: dict[int, dict[int, tuple[int, int]]] = {}
-_products_stored = 0
-
-
-def _clear_products() -> None:
-    global _products_stored
-    _PRODUCTS.clear()
-    _products_stored = 0
-
-
-def _stored_product(ka: int, kb: int, row: dict) -> tuple[int, int]:
-    """_sig_mul(ka, kb), stored in row, the table's row of ka (dropped with
-    the rest when the table is cleared; the caller's product stays right).
-    The product is symmetric (_intern_sig sorts the atoms), so a stored
-    (kb, ka) entry is copied instead of multiplied again."""
-    global _products_stored
-    if _products_stored >= _PRODUCTS_LIMIT:
-        _clear_products()
-    hit = row[kb] = _PRODUCTS.get(kb, {}).get(ka) or _sig_mul(ka, kb)
-    _products_stored += 1
-    return hit
 
 
 # Sum helpers take stored sums as iterables of (id, int) pairs with their
@@ -301,12 +285,9 @@ def _sum_mul(a, da: int, b, db: int) -> tuple[dict[int, int], int]:
             for kb, cb in b:
                 acc[kb] = get(kb, 0) + ca * cb
             continue
-        row = _PRODUCTS.get(ka)
-        if row is None:
-            row = _PRODUCTS[ka] = {}
         for kb, cb in b:
             if kb:
-                k, mult = row.get(kb) or _stored_product(ka, kb, row)
+                k, mult = _sig_mul(ka, kb) if ka <= kb else _sig_mul(kb, ka)
                 acc[k] = get(k, 0) + ca * cb * mult
             else:
                 acc[ka] = get(ka, 0) + ca * cb
@@ -585,6 +566,13 @@ class Scalar:
             atom[1] for part in (self.num, self.den) for k, _ in part
             for atom, _e in _decoded(k) if atom[0] == "p"
         )
+
+    def bit_size(self) -> int:
+        """Bits of the largest integer held: a coefficient, denominator or exponent part."""
+        ints = [self.nd, self.dd]
+        for k, c in self.num + self.den:
+            ints += c, *(i for _, n, d in _SIG_KEYS[k] for i in (n, d))
+        return max(abs(i).bit_length() for i in ints)
 
     def leading_coeff_negative(self) -> bool:
         return bool(self.num) and min(self.num, key=_canonical)[1] < 0

@@ -236,6 +236,12 @@ def test_exit_2_usage_and_parse(capsys, problems_dir, tmp_path, malformed_dir):
     code, _, err = run(capsys, "coeffs", _fx(problems_dir, "kolmogorov.frac"),
                        "--alpha", "zero")
     assert code == 2
+    # a constant too large to print (3^9801 has 4,677 digits)
+    big = tmp_path / "big.frac"
+    big.write_text("alpha = 1/2\norder = 1\nic0 = (3^99)^99*x\nrhs = Dx(psi)\n")
+    for argv in (("coeffs",), ("table", "--grid", "x=0:1:1 t=0:1:1")):
+        code, _, err = run(capsys, argv[0], str(big), *argv[1:])
+        assert code == 2 and "line 3" in err and "bit integers" in err, err
 
 
 def test_oversized_grid_is_2_before_expansion(capsys, problems_dir):

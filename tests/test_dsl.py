@@ -465,13 +465,14 @@ def test_nested_powers_within_the_bound_expand():
 @pytest.mark.parametrize("expr", [
     "cosh(x)^99*cosh(x)^99*cosh(x)^99*cosh(x)^99", "(x+cosh(x))^99",
     "(1+nu+omega)^99", "(1+nu+omega)^-99", "3^10000000",
+    "(((3^99)^99)^99)^99", "(3^99)^99", pytest.param("7" * 4401, id="4401 digits"),
 ])
 @pytest.mark.parametrize("line", [
     "ic0 = {}", "param k = {}", "forcing 1 = {}", "rhs = Dx(psi) + {}*psi",
 ])
 def test_swelling_products_fail_fast(expr, line):
-    # every exponent is at most 99, and each product, a squaring step of a
-    # power too, is checked before it is formed
+    # every exponent is at most 99, each product, a squaring step of a power
+    # too, is checked before it is formed, and so is the length of a number
     lines = {"param nu": "", "param omega": "", "ic0": "x", "rhs": "Dx(psi)"}
     key, _, value = line.format(expr).partition(" = ")
     lines[key] = value
@@ -497,6 +498,21 @@ def test_products_within_the_bounds_expand():
     t50 = "polytime(" + "0," * 50 + "1)"
     with pytest.raises(ParseError, match=r"degree 100 out of supported range"):
         parse_rhs(f"{t50}*{t50}*psi")
+
+
+def test_integer_sizes_are_bounded():
+    # the integers of a product's two factors, exponents and frequencies
+    # included, may have 4,096 bits between them; a number 1,000 characters
+    assert parse_expr("(3^99)^26") == Expr.const(3**2574)  # 4,080 bits
+    for text in ("(3^99)^26*3^99", "2^(1/(3^99)^13)*2^(1/(5^99)^13)",
+                 "exp(x/(3^99)^13)*exp(x/(5^99)^13)"):
+        with pytest.raises(ParseError, match=r"product of \d+-bit integers out of supported range"):
+            parse_expr(text)
+    assert parse_expr("1" + "0" * 999) == Expr.const(10**999)
+    with pytest.raises(ParseError) as err:
+        parse_expr("x + 1" + "0" * 1000)
+    e = err.value
+    assert (e.line, e.col) == (1, 5) and e.message == "number of 1001 characters out of supported range"
 
 
 @pytest.mark.parametrize("text, col, fragment", [

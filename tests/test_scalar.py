@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import math
 import os
 import pathlib
@@ -20,9 +21,7 @@ from fracseries import scalar
 from fracseries.scalar import (
     _GAMMA_LEVEL_LIMIT,
     _ONE_SUM,
-    _PRODUCTS,
     Scalar,
-    _clear_products,
     _decode_sum,
     _decoded,
     _encode,
@@ -656,39 +655,66 @@ def test_pickles_do_not_depend_on_signature_ids(delay_problem):
 
 
 def test_signature_product_cache_is_bounded(delay_problem, monkeypatch):
-    assert 0 < scalar._PRODUCTS_LIMIT < 10**6
+    assert 0 < _sig_mul.cache_info().maxsize < 10**6
     p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
     warm = solve(p, 6).coeffs
-    _clear_products()
-    assert not _PRODUCTS
+    _sig_mul.cache_clear()
+    assert _sig_mul.cache_info().currsize == 0
     _drop_engine()  # each solve below multiplies its signatures again
     assert solve(p, 6).coeffs == warm
-    # a table that fills up is cleared whole, and the products stay the same
-    _clear_products()
-    monkeypatch.setattr(scalar, "_PRODUCTS_LIMIT", 40)
+    # a cache that fills up evicts, and the products stay the same
+    small = functools.lru_cache(maxsize=40)(_sig_mul.__wrapped__)
+    monkeypatch.setattr(scalar, "_sig_mul", small)
     _drop_engine()
     assert solve(p, 6).coeffs == warm
-    assert 0 < sum(map(len, _PRODUCTS.values())) <= 40
+    info = small.cache_info()
+    assert info.currsize == 40 and info.misses > 40
 
 
-def test_reverse_signature_products_are_copied(monkeypatch):
+def test_reverse_signature_products_are_copied():
     g = Scalar.gamma
     a = g(Fraction(1, 7)) + g(Fraction(2, 7))
     b = g(Fraction(3, 7)) * Scalar.rational_power(2, Fraction(1, 7)) + g(Fraction(5, 7))
-    _clear_products()
-    calls = [0]
-    sig_mul = scalar._sig_mul
-
-    def counting(ka, kb):
-        calls[0] += 1
-        return sig_mul(ka, kb)
-
-    monkeypatch.setattr(scalar, "_sig_mul", counting)
+    _sig_mul.cache_clear()
     ab = a * b
-    assert calls[0] == scalar._products_stored == 4
+    assert _sig_mul.cache_info().misses == 4
     assert b * a == ab
-    assert calls[0] == 4  # each (b, a) pair is the reverse of a stored (a, b)
-    assert scalar._products_stored == 8  # and each copy counts against the limit
+    assert _sig_mul.cache_info().misses == 4  # each (b, a) pair is the reverse of a cached (a, b)
+
+
+def test_interning_from_two_threads_gives_distinct_ids():
+    # the atom and signature lists stall after reading their length, so an
+    # unlocked check-then-append hands one index to both threads
+    child = (
+        "import threading, time\n"
+        "from fracseries import scalar\n"
+        "from fracseries.scalar import Scalar\n"
+        "class SlowLen(list):\n"
+        "    def __len__(self):\n"
+        "        n = super().__len__()\n"
+        "        time.sleep(0.001)\n"
+        "        return n\n"
+        "scalar._SIG_KEYS = SlowLen(scalar._SIG_KEYS)\n"
+        "scalar._ATOMS = SlowLen(scalar._ATOMS)\n"
+        "def intern(tag):\n"
+        "    for i in range(20):\n"
+        "        Scalar.param(f'{tag}{i}')\n"
+        "threads = [threading.Thread(target=intern, args=(tag,)) for tag in 'ab']\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "print(sum(scalar._SIG_IDS[key] != k for k, key in enumerate(scalar._SIG_KEYS)),\n"
+        "      sum(scalar._ATOM_IDS[atom] != i for i, atom in enumerate(scalar._ATOMS)),\n"
+        "      ' '.join(str(Scalar.param(f'{tag}{i}')) for tag in 'ab' for i in range(20)))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                       env=_child_env(), timeout=120)
+    assert r.returncode == 0, r.stderr
+    bad_sigs, bad_atoms, *names = r.stdout.split()
+    assert (bad_sigs, bad_atoms) == ("0", "0")
+    assert names == [f"{tag}{i}" for tag in "ab" for i in range(20)]
 
 
 def test_sources_are_stable():
