@@ -528,6 +528,55 @@ def test_a_malformed_base_under_power_zero_is_an_error(text, col, fragment):
     assert (e.line, e.col) == (1, col) and e.message == fragment, str(e)
 
 
+_HEAD = "alpha = 1/2\norder = 1\nic0 = x\n"
+_TOO_MANY_TERMS = "(" + "+".join(["psi"] + [f"Dx(psi,{n})" for n in range(1, 10)]) + ")^5"
+
+
+# (file bytes or text, expected line, col and message), each as the reader gave them
+# before it was rewritten around one table of the file's lines
+@pytest.mark.parametrize("text, line, col, message", [
+    ("param psi\n" + _HEAD + "rhs = Dx(psi)\n", 1, 1, "'psi' cannot be declared as a parameter"),
+    ("name =\n" + _HEAD + "rhs = Dx(psi)\n", 1, 7, "empty problem name"),
+    ("alpha = 1/2\norder = 1/2\nrhs = Dx(psi)\n", 2, 8, "order must be a positive integer"),
+    ("alpha = 1/2\norder = 0\nrhs = Dx(psi)\n", 2, 8, "order must be a positive integer"),
+    ("param nu omega\n" + _HEAD + "rhs = Dx(psi)\n", 1, 1, "expected 'param <name>'"),
+    ("param\n" + _HEAD + "rhs = Dx(psi)\n", 1, 1, "expected 'param <name>'"),
+    ("param nu\nparam nu\n" + _HEAD + "rhs = Dx(psi)\n", 2, 1, "duplicate 'param nu' line"),
+    ("alpha = 1/2\norder = 1\nic0 = x\nic1 = x\nrhs = Dx(psi)\n", 4, 1,
+     "unexpected 'ic1': order = 1 needs ic0..ic0"),
+    (b"alpha = 1/2\norder = 1\nic0 = x\xff\nrhs = Dx(psi)\n", None, None, "p.frac is not valid UTF-8"),
+    (_HEAD + "rhs = t*psi\n", 4, 7, "bare 't' is not allowed in the right-hand side;"
+     " time enters through exptime/polytime or @(...) scalings"),
+    (_HEAD + "rhs = " + "(" * 205 + "psi" + ")" * 205 + "\n", 4, 107, "expression nesting too deep"),
+    (_HEAD + "rhs = Dx(psi, 21)\n", 4, 15, "derivative order 21 out of range"),
+    (_HEAD + "rhs = psi^(1/2)\n", 4, 10, "power of the unknown function must be a nonnegative integer"),
+    (_HEAD + "rhs = psi^13\n", 4, 10, "unknown-function power 13 out of range"),
+    (_HEAD + "rhs = exp(psi)\n", 4, 7, "'exp' is not allowed in the right-hand side"),
+    (_HEAD + f"rhs = {_TOO_MANY_TERMS}\n", 4, 102, "right-hand side expands to too many terms"),
+    ("alpha = 1/2\norder = 1\nic0 = sqrt(x)\nrhs = Dx(psi)\n", 3, 12,
+     "sqrt argument must not depend on x"),
+    ("alpha = 1/2\norder = 1\nic0 = x^(1/2)\nrhs = Dx(psi)\n", 3, 8,
+     "power of an expression in x must be a nonnegative integer"),
+    ("alpha = 1/2\norder = 1\nic0 = x@(x,t)\nrhs = Dx(psi)\n", 3, 8,
+     "argument scaling '@' is not allowed in an initial condition"),
+    (_HEAD + "rhs = Dx(psi)\nexact = psi*t\n", 5, 9,
+     "the unknown function 'psi' is not allowed in a reference solution"),
+    (_HEAD + "rhs = Dx(psi)\nexact = Dx(x)\n", 5, 9, "'Dx' is not allowed in a reference solution"),
+    (_HEAD + "rhs = Dx(psi)\nexact = x@(x,t)\n", 5, 10,
+     "argument scaling '@' is not allowed in a reference solution"),
+])
+def test_reader_and_lowering_diagnostics(tmp_path, text, line, col, message):
+    path = tmp_path / "p.frac"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        parse_problem_file(path)
+    e = err.value
+    assert (e.line, e.col, e.message) == (line, col, message), str(e)
+
+
 def test_error_message_includes_position_text():
     with pytest.raises(ParseError) as err:
         parse_problem("name = p\nalpha = 1\norder = 1\nic0 = x\nrhs = Dx(psi")
