@@ -128,7 +128,7 @@ def _load_stage(args) -> tuple[Problem, int]:
         prob = parse_problem_file(args.file)
         if getattr(args, "alpha", None):
             prob = _override_alpha(prob, args.alpha)
-    except (ParseError, ProblemError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ProblemError, OSError) as exc:
         raise _Exit(2, str(exc))
     order = args.order if args.order is not None else _DEFAULT_ORDER
     if order < prob.m - 1:

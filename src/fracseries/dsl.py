@@ -637,123 +637,81 @@ def parse_rhs(text: str, params: Optional[Iterable[str]] = None) -> RhsOperator:
 # problem files -------------------------------------------------------------
 
 _KNOWN_KEYS = ("name", "alpha", "order", "rhs", "exact")
+_INDEXED_KEY = re.compile(r"(ic|forcing)\s*([0-9]+)")  # ASCII digits, as in numbers
 
 
-def _split_lines(text: str) -> list[tuple[int, str, str, int]]:
-    """(line number, key, value text, value column) for each content line."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        if not body.strip():
-            continue
-        if "=" in body:
-            key, val = body.split("=", 1)
-            vcol = len(key) + 2  # 1-based column just past the '='
-        else:
-            # bare lines are only meaningful as 'param <name>' declarations
-            key, val, vcol = body, "", len(body) + 1
-        out.append((lineno, key.strip(), val, vcol))
-    return out
-
-
-_INT_SUFFIX_KEYS = ("ic", "forcing")
-
-
-def _split_key(key: str, lineno: int):
-    """Classify a raw key into (kind, index-or-name)."""
+def _split_key(key: str, lineno: int) -> tuple:
+    """(kind, parameter name or ic/forcing index, or None for the fixed keys) of a raw key."""
     if key in _KNOWN_KEYS:
         return key, None
     parts = key.split()
     if parts and parts[0] == "param":
         if len(parts) != 2 or not parts[1].isidentifier():
             raise ParseError("expected 'param <name>'", lineno, 1)
+        if parts[1] in _ALL_BUILTIN:
+            raise ParseError(f"'{parts[1]}' cannot be declared as a parameter", lineno, 1)
         return "param", parts[1]
-    for prefix in _INT_SUFFIX_KEYS:
-        body = None
-        if len(parts) == 2 and parts[0] == prefix:
-            body = parts[1]
-        elif len(parts) == 1 and key.startswith(prefix):
-            body = key[len(prefix):]
-        if body is not None and body.isascii() and body.isdigit():
-            return prefix, int(body)
+    indexed = _INDEXED_KEY.fullmatch(key)
+    if indexed:
+        return indexed[1], int(indexed[2])
     raise ParseError(f"unknown key '{key}'", lineno, 1)
+
+
+def _lower_line(kind: str, extra, val: str, env: _Env, lineno: int, vcol: int):
+    """The value of one problem-file line; extra is its parameter name or index."""
+    if kind == "name":
+        if not val.strip():
+            raise ParseError("empty problem name", lineno, vcol)
+        return val.strip()
+    if kind == "param" and not val.strip():
+        return None
+    node = _Parser(_tokenize(val, line=lineno, col=vcol)).parse_full()
+    if kind == "param":
+        return _lower_scalar(node, env, f"value of parameter '{extra}'")
+    if kind == "alpha":
+        alpha = _const_fraction(node, env, "alpha")
+        if not (0 < alpha <= 1):
+            raise ParseError(f"alpha must lie in (0, 1], got {alpha}", lineno, vcol)
+        return alpha
+    if kind == "order":
+        f = _const_fraction(node, env, "order")
+        if f.denominator != 1 or f < 1:
+            raise ParseError("order must be a positive integer", lineno, vcol)
+        return int(f)
+    if kind == "rhs":
+        return _products_to_terms(_expand_rhs(node, env))
+    if kind == "exact":
+        return ExactSolution(_lower_exact(node, env), val.strip())
+    return _lower_expr(node, env, "an initial condition" if kind == "ic" else "a forcing coefficient")
 
 
 def parse_problem(text: str, default_name: str = "problem") -> Problem:
     """Parse and validate one problem file."""
-    lines = _split_lines(text)
+    # (kind, parameter name, ic/forcing index or None) -> (line, value text, value column)
+    lines: dict[tuple, tuple[int, str, int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        if body.strip():  # a line without '=' is only meaningful as 'param <name>'
+            key, eq, val = body.partition("=")
+            slot = _split_key(key.strip(), lineno)
+            if slot in lines:
+                raise ParseError(f"duplicate '{key.strip()}' line", lineno, 1)
+            lines[slot] = (lineno, val, len(key) + len(eq) + 1)
 
-    # first pass: parameter declarations and scalar keys
-    seen: dict = {}
-    param_order: list[str] = []
-    param_lines: dict[str, tuple] = {}
-    entries: list = []
-    for lineno, key, val, vcol in lines:
-        kind, extra = _split_key(key, lineno)
-        dedup = (kind, extra) if kind in ("param", "ic", "forcing") else kind
-        if dedup in seen:
-            raise ParseError(f"duplicate '{key}' line", lineno, 1)
-        seen[dedup] = lineno
-        if kind == "param":
-            if extra in _ALL_BUILTIN:
-                raise ParseError(
-                    f"'{extra}' cannot be declared as a parameter", lineno, 1
-                )
-            param_order.append(extra)
-            param_lines[extra] = (lineno, val, vcol)
-        else:
-            entries.append((kind, extra, lineno, val, vcol))
+    # parameters first, so every other line knows them; each kind in file order
+    env = _Env(extra for kind, extra in lines if kind == "param")
+    values: dict[tuple, object] = {}
+    for slot, (lineno, val, vcol) in sorted(lines.items(), key=lambda kv: kv[0][0] != "param"):
+        try:
+            values[slot] = _lower_line(*slot, val, env, lineno, vcol)
+        except ScalarError as exc:  # a constant too large to print, met while ordering terms
+            raise ParseError(str(exc), lineno, vcol)
 
-    env = _Env(param_order)
-    params: dict[str, Optional[Scalar]] = {}
-    for name in param_order:
-        lineno, val, vcol = param_lines[name]
-        if val.strip():
-            node = _Parser(_tokenize(val, line=lineno, col=vcol)).parse_full()
-            params[name] = _lower_scalar(node, env, f"value of parameter '{name}'")
-        else:
-            params[name] = None
-
-    name = default_name
-    alpha: Optional[Fraction] = None
-    order: Optional[int] = None
-    rhs_terms: Optional[tuple[RhsTerm, ...]] = None
-    ics: dict[int, Expr] = {}
-    forcing: dict[int, Expr] = {}
-    exact: Optional[ExactSolution] = None
-
-    for kind, extra, lineno, val, vcol in entries:
-        if kind == "name":
-            name = val.strip()
-            if not name:
-                raise ParseError("empty problem name", lineno, vcol)
-            continue
-        toks = _tokenize(val, line=lineno, col=vcol)
-        parser = _Parser(toks)
-        node = parser.parse_full()
-        if kind == "alpha":
-            alpha = _const_fraction(node, env, "alpha")
-            if not (0 < alpha <= 1):
-                raise ParseError(f"alpha must lie in (0, 1], got {alpha}", lineno, vcol)
-        elif kind == "order":
-            f = _const_fraction(node, env, "order")
-            if f.denominator != 1 or f < 1:
-                raise ParseError("order must be a positive integer", lineno, vcol)
-            order = int(f)
-        elif kind == "rhs":
-            rhs_terms = _products_to_terms(_expand_rhs(node, env))
-        elif kind == "ic":
-            ics[extra] = _lower_expr(node, env, "an initial condition")
-        elif kind == "forcing":
-            forcing[extra] = _lower_expr(node, env, "a forcing coefficient")
-        elif kind == "exact":
-            exact = ExactSolution(_lower_exact(node, env), val.strip())
-
+    alpha, order, rhs_terms = (values.get((kind, None)) for kind in ("alpha", "order", "rhs"))
     for key_name, value in (("alpha", alpha), ("order", order), ("rhs", rhs_terms)):
         if value is None:
             raise ParseError(f"missing required line '{key_name} = ...'")
-    assert alpha is not None and order is not None and rhs_terms is not None
-
+    ics = {j: e for (kind, j), e in values.items() if kind == "ic"}
     for j in range(order):
         if j not in ics:
             raise ParseError(f"missing initial condition 'ic{j}' (order = {order})")
@@ -761,18 +719,19 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
         if j >= order:
             raise ParseError(
                 f"unexpected 'ic{j}': order = {order} needs ic0..ic{order - 1}",
-                seen[("ic", j)], 1,
+                lines[("ic", j)][0], 1,
             )
 
     try:
         return Problem(
-            name=name,
+            name=values.get(("name", None), default_name),
             m=order,
             alpha=alpha,
-            rhs=RhsOperator(terms=rhs_terms, forcing=tuple(forcing.items())),
+            rhs=RhsOperator(terms=rhs_terms, forcing=tuple(
+                (k, e) for (kind, k), e in values.items() if kind == "forcing")),
             ics=tuple(ics[j] for j in range(order)),
-            params=params,
-            exact=exact,
+            params={name: v for (kind, name), v in values.items() if kind == "param"},
+            exact=values.get(("exact", None)),
         )
     except ProblemError as exc:
         # every semantic check above reports with a position; this net keeps
@@ -783,7 +742,7 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
 def parse_problem_file(path) -> Problem:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     except UnicodeDecodeError:
         raise ParseError(f"{p.name} is not valid UTF-8")
     return parse_problem(text, default_name=p.stem)

@@ -696,9 +696,12 @@ class Scalar:
 
     def to_source(self) -> str:
         if self._src is None:
-            src = _sum_source(self.num, self.nd)
-            if self.den != _ONE_SUM:
-                src = f"({src})/({_sum_source(self.den, self.dd)})"
+            try:
+                src = _sum_source(self.num, self.nd)
+                if self.den != _ONE_SUM:
+                    src = f"({src})/({_sum_source(self.den, self.dd)})"
+            except ValueError:  # an integer past sys.get_int_max_str_digits()
+                raise ScalarError(f"a {self.bit_size()}-bit integer is too large to print") from None
             self._src = src
         return self._src
 
@@ -794,11 +797,7 @@ def _sum_source(monos, d: int) -> str:
         g = math.gcd(c, d)
         coeff = f"{abs(c) // g}" if g == d else f"{abs(c) // g}/{d // g}"
         parts = [coeff] if coeff != "1" or not k else []
-        for atom, e in _decoded(k):
-            if atom[0] == "r":
-                parts.append(f"{atom[1]}^({e})")
-            else:
-                parts.append(_atom_source(atom) + _exp_source(e))
+        parts += (_atom_source(atom) + _exp_source(e) for atom, e in _decoded(k))
         if i == 0:
             chunks.append(("-" if c < 0 else "") + "*".join(parts))
         else:

@@ -316,6 +316,30 @@ def test_exact_reference_outside_double_range_is_1(capsys, tmp_path):
     assert "error: reference evaluation produced inf at x=1.0, t=0.0" in err
 
 
+@pytest.mark.parametrize("lines, order, code, message", [
+    # a sum, chained divisions and an @ scaling raised to the coefficient's degree
+    ("ic0 = 1/(3^99)^26 + 1/(5^99)^17 + 1/(7^99)^14 + 1/(11^99)^11 + x\nrhs = Dx(psi)", "2",
+     1, "error: a 15646-bit integer is too large to print"),
+    ("ic0 = x/(3^99)^26/(3^99)^26/(3^99)^26/(3^99)^26\nrhs = Dx(psi)", "2",
+     1, "error: a 16319-bit integer is too large to print"),
+    ("ic0 = x\nrhs = (x^99*psi)@(x/(3^99)^13, t)", "2",
+     1, "error: a 203985-bit integer is too large to print"),
+    # integers the solver grows
+    ("ic0 = 10^99*x\nrhs = psi^12", "4", 1, "error: a 14812-bit integer is too large to print"),
+    # met while the line is lowered: terms are ordered by their frequencies' printed forms
+    ("ic0 = exp(x/(3^99)^26/(3^99)^26/(3^99)^26/(3^99)^26) + exp(x)\nrhs = Dx(psi)", "2",
+     2, "error: line 3, col 6: a 16319-bit integer is too large to print"),
+], ids=["sum", "divisions", "scaling", "solver", "ordering"])
+def test_integers_too_large_to_print_are_errors(tmp_path, lines, order, code, message):
+    path = tmp_path / "big.frac"
+    path.write_text(f"alpha = 1/2\norder = 1\n{lines}\n")
+    r = _run_child("-m", "fracseries", "coeffs", str(path), "-K", order)
+    assert (r.returncode, r.stdout) == (code, ""), r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1] == message
+    assert sum(ln.startswith("error:") for ln in r.stderr.splitlines()) == 1
+
+
 def test_argparse_usage_error_is_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

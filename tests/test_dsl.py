@@ -386,6 +386,14 @@ def test_default_problem_name_is_file_stem(tmp_path):
     assert prob.name == "heat_flow"
 
 
+def test_a_byte_order_mark_is_ignored(tmp_path, problems_dir):
+    for name in ("kolmogorov.frac", "klein_gordon.frac", "burgers_delay.frac"):
+        plain = problems_dir / name
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_problem_file(marked) == parse_problem_file(plain)
+
+
 # -- diagnostics ----------------------------------------------------------------------
 
 # (filename, expected line, expected col, message fragment); positions frozen
