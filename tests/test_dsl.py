@@ -585,6 +585,15 @@ def test_reader_and_lowering_diagnostics(tmp_path, text, line, col, message):
     assert (e.line, e.col, e.message) == (line, col, message), str(e)
 
 
+def test_parameter_lines_are_lowered_first():
+    # a fault in a parameter's value is reported before an earlier line's
+    text = "alpha = 1/2\norder = 1\nic0 = x^(1/2)\nrhs = Dx(psi)\nparam nu = 2*x\n"
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    e = err.value
+    assert (e.line, e.col, e.message) == (5, 13, "value of parameter 'nu' must not depend on x")
+
+
 def test_error_message_includes_position_text():
     with pytest.raises(ParseError) as err:
         parse_problem("name = p\nalpha = 1\norder = 1\nic0 = x\nrhs = Dx(psi")
