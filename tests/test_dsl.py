@@ -387,9 +387,12 @@ def test_default_problem_name_is_file_stem(tmp_path):
 
 
 def test_a_byte_order_mark_is_ignored(tmp_path, problems_dir):
-    for name in ("kolmogorov.frac", "klein_gordon.frac", "burgers_delay.frac"):
-        plain = problems_dir / name
-        marked = tmp_path / name
+    # the shipped files start with a comment line, heat.frac with a key
+    heat = tmp_path / "heat.frac"
+    heat.write_text("name = heat\nalpha = 1\norder = 1\nic0 = x\nrhs = Dx(psi, 2)\n")
+    shipped = ("kolmogorov.frac", "klein_gordon.frac", "burgers_delay.frac")
+    for plain in (*(problems_dir / name for name in shipped), heat):
+        marked = tmp_path / f"marked_{plain.name}"
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert parse_problem_file(marked) == parse_problem_file(plain)
 
@@ -540,8 +543,8 @@ _HEAD = "alpha = 1/2\norder = 1\nic0 = x\n"
 _TOO_MANY_TERMS = "(" + "+".join(["psi"] + [f"Dx(psi,{n})" for n in range(1, 10)]) + ")^5"
 
 
-# (file bytes or text, expected line, col and message), each as the reader gave them
-# before it was rewritten around one table of the file's lines
+# (file bytes or text, expected line, col and message): error branches of the
+# reader and of lowering that no other test reaches
 @pytest.mark.parametrize("text, line, col, message", [
     ("param psi\n" + _HEAD + "rhs = Dx(psi)\n", 1, 1, "'psi' cannot be declared as a parameter"),
     ("name =\n" + _HEAD + "rhs = Dx(psi)\n", 1, 7, "empty problem name"),
