@@ -154,7 +154,8 @@ def test_stdout_matches_golden_digests(capsys, problems_dir):
     on every shipped problem at K = 8 and six alphas, and on burgers-delay at
     the composite-denominator alpha 5/6, plus the numeric output:
     `table --exact --format csv` on kolmogorov and burgers-delay (alpha 1,
-    K = 16), a klein-gordon `table` with bound parameters, and `eval` on
+    K = 16), a klein-gordon `table` with bound parameters, both tables of
+    kolmogorov and klein-gordon again as `--format json`, and `eval` on
     kolmogorov at K = 200.
 
     The digests in tests/data/golden_stdout.json pin the exact coefficients,
@@ -163,7 +164,7 @@ def test_stdout_matches_golden_digests(capsys, problems_dir):
     code, and say in the change what output changed and why.
     """
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) == 42
+    assert len(cases) == 44
     assert not _golden_mismatches(capsys, cases, problems_dir)
 
 
@@ -314,6 +315,18 @@ def test_exact_reference_outside_double_range_is_1(capsys, tmp_path):
                          "--grid", "x=1:1:1 t=0:1:1", "--format", "csv")
     assert code == 1 and out == ""
     assert "error: reference evaluation produced inf at x=1.0, t=0.0" in err
+
+
+def test_table_fails_at_first_failing_point_in_grid_order(capsys, tmp_path):
+    # the reference fails at (1, 0) and the series at (1, 2000): points are
+    # checked x outer, t inner, each series value before its reference
+    path = tmp_path / "order.frac"
+    path.write_text("alpha = 1\norder = 1\nic0 = x + 1\nrhs = psi\nexact = (x+1)/t\n")
+    code, out, err = run(capsys, "table", str(path), "--exact", "-K", "300",
+                         "--grid", "x=1:1:1 t=0:2000:2000", "--format", "csv")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        "error: reference evaluation failed at x=1.0, t=0.0: float division by zero")
 
 
 @pytest.mark.parametrize("lines, order, code, message", [

@@ -13,6 +13,7 @@ from fracseries.errors import EvalError
 from fracseries.evaluate import (
     ErrorTable,
     EvalGrid,
+    TableRow,
     error_table,
     eval_solution,
     export,
@@ -130,6 +131,46 @@ def test_json_payload_shape(diffusion_problem):
     tdoc = json.loads(export(error_table(sol, None, grid), "json"))
     assert tdoc["columns"] == ["x", "t", "approx"]
     assert len(tdoc["rows"]) == 1
+
+
+def _indented_json(table):
+    """The table as json.dumps(..., indent=2) lays it out."""
+    cols = ["x", "t", "approx"]
+    if table.has_reference:
+        cols += ["reference", "abs_error"]
+    rows = [[r.x, r.t, r.approx] + ([r.reference, r.error] if table.has_reference else [])
+            for r in table.rows]
+    doc = {"problem": table.problem, "order": table.order, "alpha": table.alpha,
+           "reference": table.reference_desc, "columns": cols, "rows": rows}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_table_bytes_equal_indented_dumps():
+    inf_error = abs(1e308 - -1e308)
+    assert inf_error == math.inf
+    cells = [
+        TableRow(-0.0, 0.0, 5e-324),
+        TableRow(1e308, 1e16, 1 / 3),
+        TableRow(0.5, 2.5, -1e308),
+    ]
+    with_ref = [
+        TableRow(-0.0, 0.0, 5e-324, -0.0, 5e-324),
+        TableRow(1e16, 0.125, 1e308, -1e308, inf_error),
+        TableRow(0.5, 1.0, 1 / 3, 1e16, 1e16 - 1 / 3),
+    ]
+    name = 'a], [b, "c" é∂'
+    ref = 'exp(x)*"t"], [1, 2], 3, ü'
+    tables = [
+        ErrorTable(name, 4, "1/2", tuple(cells), has_reference=False),
+        ErrorTable(name, 4, "1/2", tuple(cells[:1]), has_reference=False),
+        ErrorTable(name, 0, "1", tuple(with_ref), has_reference=True, reference_desc=ref),
+        ErrorTable(name, 0, "1", tuple(with_ref[1:2]), has_reference=True,
+                   reference_desc=ref),
+        ErrorTable("empty, ], [", 2, "3/5", (), has_reference=False),
+    ]
+    for tab in tables:
+        assert export(tab, "json") == _indented_json(tab), tab
+    assert "Infinity" in export(tables[3], "json")
 
 
 def test_pretty_table_layout(diffusion_problem):
