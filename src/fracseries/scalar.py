@@ -687,7 +687,7 @@ class Scalar:
             nv = _eval_sum(self.num, self.nd, params)
             dv = 1.0 if self.den is _ONE_SUM else _eval_sum(self.den, self.dd, params)
         except OverflowError as exc:
-            raise EvalError(f"overflow evaluating scalar {self}") from exc
+            raise EvalError(f"overflow evaluating a scalar with a {self.bit_size()}-bit integer") from exc
         if dv == 0.0:
             raise EvalError(f"denominator of {self} evaluates to zero")
         return nv / dv

@@ -329,6 +329,20 @@ def test_table_fails_at_first_failing_point_in_grid_order(capsys, tmp_path):
         "error: reference evaluation failed at x=1.0, t=0.0: float division by zero")
 
 
+@pytest.mark.parametrize("order", ["2", "4"])
+def test_scalar_overflow_error_is_short(tmp_path, order):
+    # coefficient 1 holds 10^1188, past the double range; the message names
+    # its size, not its digits
+    path = tmp_path / "big.frac"
+    path.write_text("alpha = 1\norder = 1\nic0 = 10^99*x\nrhs = psi^12\n")
+    r = _run_child("-m", "fracseries", "table", str(path), "-K", order,
+                   "--grid", "x=1:1:1 t=0:1:1", "--format", "csv")
+    assert (r.returncode, r.stdout) == (1, ""), r.stderr
+    assert "Traceback" not in r.stderr
+    last = r.stderr.splitlines()[-1]
+    assert last.startswith("error: overflow evaluating") and len(last) < 200, last
+
+
 @pytest.mark.parametrize("lines, order, code, message", [
     # a sum, chained divisions and an @ scaling raised to the coefficient's degree
     ("ic0 = 1/(3^99)^26 + 1/(5^99)^17 + 1/(7^99)^14 + 1/(11^99)^11 + x\nrhs = Dx(psi)", "2",
