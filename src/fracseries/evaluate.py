@@ -55,11 +55,7 @@ class EvalGrid:
 
 
 class _Compiled:
-    """One solution under one parameter binding, as float tables.
-
-    Coefficient values are kept per distinct x and time weights per distinct
-    t, for the lifetime of one call only.
-    """
+    """One solution under one parameter binding, as float tables."""
 
     def __init__(self, sol: SeriesSolution, params: Optional[Mapping[str, float]]):
         self.bind = sol.problem.param_floats(params)
@@ -73,55 +69,53 @@ class _Compiled:
                 self.gammas.append(gamma_real(1.0 + ka))
             except OverflowError:
                 self.gammas.append(math.inf)
-        self._values: dict[float, list[tuple[int, float]]] = {}
-        self._weights: dict[float, list[tuple[float, float]]] = {}
 
     def values(self, x: float) -> list[tuple[int, float]]:
         """(k, coefficient k at x) for the coefficients that are not 0.0."""
-        out = self._values.get(x)
-        if out is None:
-            out = []
-            for k, table in enumerate(self.tables):
-                total = eval_float_terms(table, x)
-                if total != 0.0:
-                    out.append((k, total))
-            self._values[x] = out
+        out = []
+        for k, table in enumerate(self.tables):
+            total = eval_float_terms(table, x)
+            if total != 0.0:
+                out.append((k, total))
         return out
 
     def weights(self, t: float) -> list[tuple[float, float]]:
         """Per k, (p, d) such that term * p / d is the term's share at t."""
-        out = self._weights.get(t)
-        if out is None:
-            out = []
-            lt = math.log(t) if t != 0.0 else 0.0
-            for ka, g in zip(self.kas, self.gammas):
-                if t == 0.0:
-                    tp = 1.0 if ka == 0 else 0.0
-                else:
-                    try:
-                        tp = math.exp(ka * lt)
-                    except OverflowError:
-                        tp = math.inf
-                if (tp == math.inf or g == math.inf) and tp != 0.0:
-                    # a factor leaves the double range: weight in log space
-                    try:
-                        tp = math.exp(ka * lt - math.lgamma(1.0 + ka))
-                    except OverflowError:
-                        tp = math.inf
-                    g = 1.0
-                out.append((tp, g))
-            self._weights[t] = out
+        out = []
+        lt = math.log(t) if t != 0.0 else 0.0
+        for ka, g in zip(self.kas, self.gammas):
+            if t == 0.0:
+                tp = 1.0 if ka == 0 else 0.0
+            else:
+                try:
+                    tp = math.exp(ka * lt)
+                except OverflowError:
+                    tp = math.inf
+            if (tp == math.inf or g == math.inf) and tp != 0.0:
+                # a factor leaves the double range: weight in log space
+                try:
+                    tp = math.exp(ka * lt - math.lgamma(1.0 + ka))
+                except OverflowError:
+                    tp = math.inf
+                g = 1.0
+            out.append((tp, g))
         return out
 
-    def at(self, x: float, t: float) -> float:
-        w = self.weights(t)
-        total = 0.0
-        for k, term in self.values(x):
-            tp, g = w[k]
-            total += term * tp / g
-        if math.isnan(total) or math.isinf(total):
-            raise EvalError(f"evaluation produced {total} at x={x}, t={t}")
-        return total
+    def grid(self, xs: tuple[float, ...], ts: tuple[float, ...]):
+        """Yield (x, t, value) x outer, t inner, one point at a time, so a
+        caller that checks each value before asking for the next meets
+        failures in grid order. Weights are made once per t, values once per x."""
+        ws = [self.weights(t) for t in ts]
+        for x in xs:
+            vals = self.values(x)
+            for t, w in zip(ts, ws):
+                total = 0.0
+                for k, term in vals:
+                    tp, g = w[k]
+                    total += term * tp / g
+                if not math.isfinite(total):
+                    raise EvalError(f"evaluation produced {total} at x={x}, t={t}")
+                yield x, t, total
 
 
 def eval_solution(
@@ -133,7 +127,7 @@ def eval_solution(
     """Value of the truncated series at one point."""
     if t < 0:
         raise EvalError("t must be >= 0")
-    return _Compiled(sol, params).at(x, t)
+    return next(_Compiled(sol, params).grid((x,), (t,)))[2]
 
 
 # -- error tables -----------------------------------------------------------------
@@ -170,8 +164,7 @@ def error_table(
     """Evaluate on the grid and compare against the reference, if any."""
     compiled = _Compiled(sol, grid.params)
     rows = []
-    for xv, tv in grid.points():
-        approx = compiled.at(xv, tv)
+    for xv, tv, approx in compiled.grid(grid.xs, grid.ts):
         if reference is None:
             rows.append(TableRow(xv, tv, approx))
         else:
@@ -211,17 +204,25 @@ def _export_table(table: ErrorTable, fmt: str) -> str:
         lines += [row % _row_values(r, table.has_reference) for r in table.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {
+        head = json.dumps({
             "problem": table.problem,
             "order": table.order,
             "alpha": table.alpha,
             "reference": table.reference_desc,
             "columns": cols,
-            # 17 significant digits round-trip every double, so a row holds
-            # the values themselves, as the csv rows print them
-            "rows": [list(map(float, _row_values(r, table.has_reference))) for r in table.rows],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        }, indent=2)
+        # 17 significant digits round-trip every double, so a row holds the
+        # values themselves, as the csv rows print them. An indent turns off
+        # json's C encoder, so the rows are encoded flat and laid out here as
+        # indent=2 would: no float repr holds "[", "]" or ", ".
+        rows = json.dumps([list(map(float, _row_values(r, table.has_reference)))
+                           for r in table.rows])
+        if table.rows:
+            rows = ("[\n    [\n      "
+                    + rows[2:-2].replace("], [", "\n    ],\n    [\n      ")
+                    .replace(", ", ",\n      ")
+                    + "\n    ]\n  ]")
+        return head[:-2] + ',\n  "rows": ' + rows + "\n}\n"
     if fmt == "pretty":
         head = (
             f"problem: {table.problem}   order K = {table.order}   "
