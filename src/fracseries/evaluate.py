@@ -2,15 +2,21 @@
 
 Each call compiles the solution once for its parameter binding: every
 coefficient becomes a float table (per exponential term, the polynomial
-coefficients in Horner order and the frequency), evaluated once per distinct
-x; t^(k*alpha) is computed once per distinct t as exp(k*alpha*ln t), with
-t = 0 short-circuited, and Gamma(1+k*alpha) once per k via gamma_real. A
-grid point is then a K-term sum of term * t^(k*alpha) / Gamma(1+k*alpha).
+coefficients in Horner order and the frequency). A table is evaluated one x
+row at a time: the coefficients once per x of the grid, t^(k*alpha) once per
+t as exp(k*alpha*ln t), with t = 0 short-circuited, and Gamma(1+k*alpha)
+once per k via gamma_real. A grid point is then a K-term sum of
+term * t^(k*alpha) / Gamma(1+k*alpha), over the nonzero terms in ascending k.
 Where either factor leaves the double range, that term's weight is
 exp(k*alpha*ln t - lgamma(1+k*alpha)) instead, so a value that fits in a
 double is returned even at high order; a NaN or infinite total is an
 EvalError. Error tables compare against a reference, the problem's closed
-form in x and t, when one is given.
+form in x and t, when one is given; each point's sum is checked before its
+reference, so a table fails at its first failing point in grid order.
+
+A json table is laid out from the text of json's C encoder: the rows are
+encoded flat and indented as json.dumps(..., indent=2) would, which would
+otherwise fall back to the pure-Python encoder.
 """
 
 from __future__ import annotations
