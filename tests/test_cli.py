@@ -469,3 +469,40 @@ def test_non_finite_flag_is_2_before_solving(capsys, problems_dir, argv, message
     code, out, err = run(capsys, cmd, _fx(problems_dir, f"{name}.frac"), "-K", "4", *rest)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--grid", "x=0:1:1 t=0:1:1", "--param", "nu=abc"), "--param nu: 'abc' is not a number"),
+    (("--grid", "x=0:1 t=0:1:1"), "bad x range '0:1' (want a:b:step or a value)"),
+    (("--grid", "x=a:1:1 t=0"), "bad x range 'a:1:1' (want a:b:step or a value)"),
+    (("--grid", "x=1/0 t=0"), "bad x range '1/0' (want a:b:step or a value)"),
+    (("--grid", "x=0:1:0 t=0:1:1"), "x range step must be positive in '0:1:0'"),
+    (("--grid", "y=0 t=0"), "bad grid component 'y=0' (want x=... or t=...)"),
+    (("--grid", "x=0:1:1"), "grid must specify both x=a:b:step and t=a:b:step"),
+], ids=["param-text", "range-two-parts", "range-text", "range-zero-division", "range-step-zero",
+        "grid-component", "grid-no-t"])
+def test_malformed_table_flag_is_2_before_solving(capsys, problems_dir, argv, message):
+    code, out, err = run(capsys, "table", _fx(problems_dir, "kolmogorov.frac"), "-K", "4", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("binding, xv, message", [
+    (("nu=-1", "omega=1", "lambda=1"), "1", "parameter 'nu' = -1.0 under fractional power"),
+    (("nu=1", "omega=0", "lambda=1"), "1", "parameter 'omega' = 0 under negative power"),
+    (("nu=1", "omega=1", "lambda=1"), "1e4", "overflow evaluating expression at x=10000.0"),
+], ids=["negative-under-root", "zero-under-negative-power", "exp-overflow"])
+def test_binding_outside_the_domain_is_1(capsys, problems_dir, binding, xv, message):
+    params = [arg for b in binding for arg in ("--param", b)]
+    code, out, err = run(capsys, "eval", _fx(problems_dir, "klein_gordon.frac"), "-K", "4",
+                         "-x", xv, "-t", "0.5", *params)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+
+
+def test_solve_report_prints_a_zero_coefficient(capsys, tmp_path):
+    path = tmp_path / "still.frac"
+    path.write_text("alpha = 1/2\norder = 1\nic0 = x\nrhs = 0\n")
+    code, out, _ = run(capsys, "solve", str(path), "-K", "2")
+    assert code == 0
+    assert out.splitlines()[1:] == ["coeff[0](x) = x", "coeff[1](x) = 0", "coeff[2](x) = 0"]

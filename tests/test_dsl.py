@@ -36,6 +36,14 @@ def test_round_trip_fixture_files(problems_dir):
         assert problem_to_source(again) == text
 
 
+def test_round_trip_param_values_forcing_and_zero_rhs():
+    text = ("name = p\nalpha = 1/2\norder = 1\nparam nu = 3/2\nic0 = nu*x\nrhs = 0\n"
+            "forcing 0 = x\nforcing 2 = nu*x^2\n")
+    prob = parse_problem(text)
+    assert problem_to_source(prob) == text
+    assert parse_problem(problem_to_source(prob)) == prob
+
+
 def test_round_trip_preserves_semantics(problems_dir):
     # the reparsed problem solves to identical coefficients
     from fracseries.solver import solve

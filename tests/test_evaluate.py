@@ -98,6 +98,7 @@ def test_grid_order_x_outer_t_inner(diffusion_problem):
         (0.0, 0.25), (0.0, 0.5), (1.0, 0.25), (1.0, 0.5)
     ]
     assert not tab.has_reference
+    assert tab.max_error() is None
 
 
 def test_csv_round_trip_is_exact(diffusion_problem):
