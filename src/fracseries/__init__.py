@@ -20,7 +20,7 @@ from .errors import (
 )
 from .gammafn import gamma_real
 from .scalar import Scalar
-from .expr import Expr, probe_equal, probe_zero
+from .expr import Expr
 from .series import (
     FracSeries,
     gamma_factor,
@@ -97,8 +97,6 @@ __all__ = [
     "parse_problem",
     "parse_problem_file",
     "parse_rhs",
-    "probe_equal",
-    "probe_zero",
     "problem_to_source",
     "read_table_csv",
     "residual_orders",

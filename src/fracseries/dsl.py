@@ -42,7 +42,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import ParseError, ProblemError, ScalarError
+from .errors import ParseError, ScalarError
 from .expr import Expr
 from .problems import _RESERVED_NAMES, ExactSolution, Problem, RhsFactor, RhsOperator, RhsTerm
 from .scalar import Scalar, power_by_squaring
@@ -722,21 +722,16 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
                 lines[("ic", j)][0], 1,
             )
 
-    try:
-        return Problem(
-            name=values.get(("name", None), default_name),
-            m=order,
-            alpha=alpha,
-            rhs=RhsOperator(terms=rhs_terms, forcing=tuple(
-                (k, e) for (kind, k), e in values.items() if kind == "forcing")),
-            ics=tuple(ics[j] for j in range(order)),
-            params={name: v for (kind, name), v in values.items() if kind == "param"},
-            exact=values.get(("exact", None)),
-        )
-    except ProblemError as exc:
-        # every semantic check above reports with a position; this net keeps
-        # the contract (ParseError only) if container validation grows
-        raise ParseError(str(exc))
+    return Problem(
+        name=values.get(("name", None), default_name),
+        m=order,
+        alpha=alpha,
+        rhs=RhsOperator(terms=rhs_terms, forcing=tuple(
+            (k, e) for (kind, k), e in values.items() if kind == "forcing")),
+        ics=tuple(ics[j] for j in range(order)),
+        params={name: v for (kind, name), v in values.items() if kind == "param"},
+        exact=values.get(("exact", None)),
+    )
 
 
 def parse_problem_file(path) -> Problem:

@@ -54,11 +54,6 @@ class EvalGrid:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ts", ts)
 
-    def points(self):
-        for xv in self.xs:
-            for tv in self.ts:
-                yield xv, tv
-
 
 class _Compiled:
     """One solution under one parameter binding, as float tables."""

@@ -14,7 +14,8 @@ Expr.const(gamma(1/4)*gamma(3/4) - 2^(1/2)*gamma(1/2)^2).is_zero() holds.
 Prime denominators have no relation applied: gamma(1/3)*gamma(2/3) and
 2*3^(-1/2)*gamma(1/2)^2 are both 2pi/sqrt(3) but differ structurally, so
 their difference is not zero here. probe_equal and probe_zero compare
-numerically at random points; no verdict of the package uses them.
+numerically at random points. They are helpers of this module, not package
+exports, and no verdict or acceptance test uses them.
 
 The variable is x for series coefficients and initial conditions. A
 right-hand-side term's time coefficient is an Expr read in t instead
@@ -62,7 +63,7 @@ class Expr:
             if tpoly:
                 terms.append((mu, tpoly))
         if len(terms) > 1:
-            terms.sort(key=lambda t: t[0].sort_key())
+            terms.sort(key=lambda t: t[0].to_source())
         return Expr(tuple(terms), _raw=True)
 
     @classmethod
@@ -320,7 +321,7 @@ class Expr:
             else:
                 handled.add(mu)
                 chunks.append(_wrap_poly(tuple(poly)) + f"*exp({_scaled_x_source(mu)})")
-        return " + ".join(chunks) if chunks else "0"
+        return " + ".join(chunks)
 
     def __str__(self) -> str:
         return self.to_source()
@@ -354,8 +355,6 @@ def _poly_source(poly: tuple[Scalar, ...]) -> str:
         else:
             base = f"({csrc})" if needs_parens else csrc
             chunks.append(f"{base}*{xpart}")
-    if not chunks:
-        return "0"
     return " + ".join(chunks)
 
 

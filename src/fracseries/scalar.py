@@ -705,9 +705,6 @@ class Scalar:
             self._src = src
         return self._src
 
-    def sort_key(self) -> str:
-        return self.to_source()
-
     def __str__(self) -> str:
         return self.to_source()
 

@@ -114,15 +114,14 @@ def apply_rhs(rhs: RhsOperator, series: FracSeries, kmax: int) -> FracSeries:
             base = base.dx(f.n) if f.n else base
             if f.scaled:
                 base = base.scale_args(f.xscale, f.tscale)
-            base = base.pow(f.power, kmax) if f.power > 1 else base.truncate(kmax)
+            base = base.pow(f.power, kmax)
             acc = base if acc is None else acc.mul(base, kmax)
         if acc is None:
             acc = FracSeries(alpha, kmax, {0: term.coeff})
         else:
             acc = acc.expr_mul(term.coeff)
         total = total.add(_apply_tcoef(acc, term.tcoef, kmax))
-    total = total.add(FracSeries(alpha, kmax, dict(rhs.forcing)))
-    return total.truncate(kmax)
+    return total.add(FracSeries(alpha, kmax, dict(rhs.forcing)))
 
 
 # -- the coefficient engine ---------------------------------------------------------
@@ -321,7 +320,7 @@ def residual_series(problem: Problem, sol: SeriesSolution) -> FracSeries:
         )
     kmax = sol.order - problem.m
     full = sol.series()
-    lhs = full.caputo_shift(problem.m).truncate(kmax)
+    lhs = full.caputo_shift(problem.m)
     rhs = apply_rhs(problem.rhs, full, kmax)
     return lhs.sub(rhs)
 

@@ -12,7 +12,7 @@ import pkgutil
 import sys
 
 import fracseries
-from fracseries import expr, solver
+from fracseries import evaluate, expr, solver
 from fracseries.scalar import Scalar
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -43,14 +43,14 @@ def _bindings():
 
 def test_tracer_installs_and_restores_bindings(diffusion_problem):
     spans = _load_spans()
-    probe = expr.probe_zero
+    point = evaluate.eval_solution
     add = Scalar.__dict__["__add__"]
     orders = solver.residual_orders
     tracer = spans.Tracer("tier1")
     before = _bindings()
     tracer.install()
     try:
-        assert expr.probe_zero is not probe
+        assert evaluate.eval_solution is not point
         assert Scalar.__dict__["__add__"] is not add
         assert Scalar.__dict__["__radd__"] is not add
         assert solver.residual_orders is not orders
@@ -64,7 +64,7 @@ def test_tracer_installs_and_restores_bindings(diffusion_problem):
     finally:
         tracer.uninstall()
 
-    assert expr.probe_zero is probe
+    assert evaluate.eval_solution is point
     assert Scalar.__dict__["__add__"] is add
     assert Scalar.__dict__["__radd__"] is add
     assert solver.residual_orders is orders
