@@ -91,12 +91,18 @@ _FACTOR_LIMIT = 10**9
 ScalarLike = Union["Scalar", int, Fraction]
 
 
+def _shown(value, bits: int, noun: str = "") -> str:
+    """value as printed while its largest integer has at most 128 bits (about 39
+    digits), else noun and that size: past str()'s limit the digits fail to format."""
+    return str(value) if bits <= 128 else f"{noun}with a {bits}-bit integer"
+
+
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division."""
     if n <= 0:
         raise ScalarError(f"cannot factor non-positive integer {n}")
     if n > _FACTOR_LIMIT:
-        raise ScalarError(f"rational base {n} too large to factor")
+        raise ScalarError(f"rational base {_shown(n, n.bit_length())} too large to factor")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -328,7 +334,8 @@ def _rational_power(q: Coeff, e: Fraction) -> tuple[int, Coeff]:
     if e.denominator == 1:
         return 0, _demote(Fraction(q) ** int(e))  # an int to a negative power is a float
     if q < 0:
-        raise ScalarError(f"fractional power of negative rational {q}")
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise ScalarError(f"fractional power of negative rational {_shown(q, bits)}")
     exps: dict[Atom, Fraction] = {}
     for base, sign in ((q.numerator, 1), (q.denominator, -1)):
         for p, mult in _factorize(base).items():
@@ -689,7 +696,8 @@ class Scalar:
         except OverflowError as exc:
             raise EvalError(f"overflow evaluating a scalar with a {self.bit_size()}-bit integer") from exc
         if dv == 0.0:
-            raise EvalError(f"denominator of {self} evaluates to zero")
+            raise EvalError(
+                f"denominator of {_shown(self, self.bit_size(), 'a scalar ')} evaluates to zero")
         return nv / dv
 
     # -- printing ------------------------------------------------------------------

@@ -506,3 +506,34 @@ def test_solve_report_prints_a_zero_coefficient(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", str(path), "-K", "2")
     assert code == 0
     assert out.splitlines()[1:] == ["coeff[0](x) = x", "coeff[1](x) = 0", "coeff[2](x) = 0"]
+
+
+_TABLE_NU_1 = ("table", "-K", "2", "--param", "nu=1", "--grid", "x=1:1:1 t=0:1:1",
+               "--format", "csv")
+
+
+# a number past 128 bits is named by its size in a diagnostic, a shorter one by its digits
+@pytest.mark.parametrize("lines, argv, code, message", [
+    ("param nu\nic0 = x/((10^99)^9*nu - (10^99)^9)", _TABLE_NU_1, 1,
+     "error: denominator of a scalar with a 2960-bit integer evaluates to zero"),
+    ("ic0 = sqrt(-(10^99)^9)*x", ("coeffs", "-K", "1"), 2,
+     "error: line 3, col 7: fractional power of negative rational with a 2960-bit integer"),
+    ("ic0 = (-(10^99)^9)^(1/3)*x", ("coeffs", "-K", "1"), 2,
+     "error: line 3, col 19: fractional power of negative rational with a 2960-bit integer"),
+    ("ic0 = sqrt((10^99)^3)*x", ("coeffs", "-K", "1"), 2,
+     "error: line 3, col 7: rational base with a 987-bit integer too large to factor"),
+    ("param nu\nic0 = x/(nu - 1)", _TABLE_NU_1, 1,
+     "error: denominator of (-1)/(1 - nu) evaluates to zero"),
+    ("ic0 = sqrt(-2)*x", ("coeffs", "-K", "1"), 2,
+     "error: line 3, col 7: fractional power of negative rational -2"),
+], ids=["zero-denominator", "negative-sqrt", "negative-cube-root", "factor",
+        "zero-denominator-short", "negative-sqrt-short"])
+def test_diagnostics_name_huge_numbers_by_size(tmp_path, lines, argv, code, message):
+    path = tmp_path / "big.frac"
+    path.write_text(f"alpha = 1/2\norder = 1\n{lines}\nrhs = Dx(psi)\n")
+    cmd, *rest = argv
+    r = _run_child("-m", "fracseries", cmd, str(path), *rest)
+    assert (r.returncode, r.stdout) == (code, ""), r.stderr
+    assert "Traceback" not in r.stderr
+    last = r.stderr.splitlines()[-1]
+    assert last == message and len(last) < 200
