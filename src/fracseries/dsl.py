@@ -30,7 +30,9 @@ and differentiates its coefficients.
 Lowering is bounded: numbers have at most _MAX_DIGITS characters, exponents
 at most 99 in absolute value (a power of psi 12), and each product it forms, a
 squaring step of a power too, degree at most 99, at most _MAX_PAIRS scalar
-monomial pairs and at most _MAX_BITS bits in its factors' largest integers.
+monomial pairs and at most _MAX_BITS bits in its factors' largest integers. The
+products of one line may take at most _MAX_LINE_PAIRS monomial pairs between
+them.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ _MAX_PAIRS = 16384
 # 470 and 401 in Tier-1. Products and numbers so stay below 1,240 of the 4,300 digits str() takes.
 _MAX_BITS = 4096
 _MAX_DIGITS = 1000
+# Scalar monomial pairs all products of one line may multiply, summed. The shipped problems
+# and demos need at most 12, the 60,000-string rhs corpus 1,666 and Tier-1 17,954
+# (cosh(x)^99*cosh(x)^99). A sum of such products stops in its second term.
+_MAX_LINE_PAIRS = 32768
 
 
 # -- tokens -------------------------------------------------------------------
@@ -261,13 +267,15 @@ class _Parser:
 # -- name environment ------------------------------------------------------------
 
 class _Env:
-    """Name rules (params; None: any new name is a parameter) and var, lowered as x."""
+    """One line's lowering state: name rules (params; None: any new name is a
+    parameter), var, lowered as x, and the monomial pairs its products took."""
 
-    __slots__ = ("params", "var")
+    __slots__ = ("params", "var", "pairs")
 
     def __init__(self, params: Optional[Iterable[str]] = None, var: str = "x"):
         self.params = None if params is None else frozenset(params)
         self.var = var
+        self.pairs = 0
 
     def check_param(self, name: str, pos) -> None:
         if name in _ALL_BUILTIN:
@@ -300,14 +308,18 @@ def _monomials(e: Expr) -> int:  # of its coefficients; a denominator of 1 not c
     return sum(len(c.num) + len(c.den) - 1 for _, poly in e.terms for c in poly)
 
 
-def _mul(a: Expr, b: Expr, pos) -> Expr:
-    """a*b, once its degree, monomial pairs and integer sizes are in bounds."""
+def _mul(a: Expr, b: Expr, pos, env: _Env) -> Expr:
+    """a*b, once its degree, monomial pairs, the line's pairs with them and integer
+    sizes are in bounds."""
     degree = sum(max((len(poly) for _, poly in e.terms), default=1) - 1 for e in (a, b))
     if degree > _MAX_X_POWER:
         raise ParseError(f"degree {degree} out of supported range", *pos)
     pairs = _monomials(a) * _monomials(b)
     if pairs > _MAX_PAIRS:
         raise ParseError(f"product of {pairs} monomial pairs out of supported range", *pos)
+    env.pairs += pairs
+    if env.pairs > _MAX_LINE_PAIRS:
+        raise ParseError(f"products of {env.pairs} monomial pairs on one line out of supported range", *pos)
     bits = sum(max((c.bit_size() for f, p in e.terms for c in (f, *p)), default=0) for e in (a, b))
     if bits > _MAX_BITS:
         raise ParseError(f"product of {bits}-bit integers out of supported range", *pos)
@@ -333,7 +345,7 @@ def _lower_expr(node: tuple, env: _Env, where: str = "this expression") -> Expr:
     if tag == "sub":
         return _lower_expr(node[2], env, where) - _lower_expr(node[3], env, where)
     if tag == "mul":
-        return _mul(_lower_expr(node[2], env, where), _lower_expr(node[3], env, where), pos)
+        return _mul(_lower_expr(node[2], env, where), _lower_expr(node[3], env, where), pos, env)
     if tag == "div":
         num = _lower_expr(node[2], env, where)
         den = _lower_expr(node[3], env, where)
@@ -390,7 +402,7 @@ def _lower_pow(node: tuple, env: _Env, where: str) -> Expr:
         raise ParseError(f"exponent {e} out of supported range", *pos)
     if e.denominator != 1:  # of a constant
         return Expr.const(_scalar_pow(s, e, pos))
-    power = power_by_squaring(base, int(abs(e)), _ONE, lambda a, b: _mul(a, b, pos))
+    power = power_by_squaring(base, int(abs(e)), _ONE, lambda a, b: _mul(a, b, pos, env))
     return power if e >= 0 else Expr.const(_scalar_pow(power.as_scalar(), -1, pos))
 
 
@@ -464,14 +476,11 @@ def _contains_special(node: tuple) -> bool:
     return False
 
 
-def _cross(lhs: list, rhs: list, pos) -> list:
-    out = []
-    for ca, ta, ka in lhs:
-        for cb, tb, kb in rhs:
-            out.append((_mul(ca, cb, pos), _mul(ta, tb, pos), ka + kb))
-            if len(out) > _MAX_PRODUCTS:
-                raise ParseError("right-hand side expands to too many terms", *pos)
-    return out
+def _cross(lhs: list, rhs: list, pos, env: _Env) -> list:
+    if len(lhs) * len(rhs) > _MAX_PRODUCTS:
+        raise ParseError("right-hand side expands to too many terms", *pos)
+    return [(_mul(ca, cb, pos, env), _mul(ta, tb, pos, env), ka + kb)
+            for ca, ta, ka in lhs for cb, tb, kb in rhs]
 
 
 def _expand_rhs(node: tuple, env: _Env) -> list:
@@ -494,7 +503,7 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
         rhs = [(-c, tc, k) for c, tc, k in _expand_rhs(node[3], env)]
         return _expand_rhs(node[2], env) + rhs
     if tag == "mul":
-        return _cross(_expand_rhs(node[2], env), _expand_rhs(node[3], env), pos)
+        return _cross(_expand_rhs(node[2], env), _expand_rhs(node[3], env), pos, env)
     if tag == "div":
         den = _lower_scalar(node[3], env, "a divisor")
         if den.is_zero():
@@ -514,7 +523,7 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
         base = _expand_rhs(node[2], env)  # lowered under ^0 too, to report its faults
         acc = [(_ONE, _ONE, ())]
         for _ in range(p):
-            acc = _cross(acc, base, pos)
+            acc = _cross(acc, base, pos, env)
         return acc
     if tag == "at":
         xs = _extract_scale(node[3], env, "x")
@@ -578,7 +587,9 @@ def _dx_product(prod: tuple, n: int) -> Optional[tuple]:
 
 def _extract_scale(node: tuple, env: _Env, var: str) -> Fraction:
     """c of an @ argument c*var, read in var; c must be a positive rational."""
-    e = _lower_expr(node, _Env(env.params, var), f"a scaling of {var}")
+    outer, env.var = env.var, var  # a failure ends the line, so it need not restore
+    e = _lower_expr(node, env, f"a scaling of {var}")
+    env.var = outer
     c = _linear_coeff(e, node[1], var, "scaling").as_fraction()
     if c is None or c <= 0:
         raise ParseError(f"scaling of {var} must be a positive rational", *node[1])
@@ -699,11 +710,11 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
             lines[slot] = (lineno, val, len(key) + len(eq) + 1)
 
     # parameters first, so every other line knows them; each kind in file order
-    env = _Env(extra for kind, extra in lines if kind == "param")
+    params = [extra for kind, extra in lines if kind == "param"]
     values: dict[tuple, object] = {}
     for slot, (lineno, val, vcol) in sorted(lines.items(), key=lambda kv: kv[0][0] != "param"):
         try:
-            values[slot] = _lower_line(*slot, val, env, lineno, vcol)
+            values[slot] = _lower_line(*slot, val, _Env(params), lineno, vcol)
         except ScalarError as exc:  # a constant too large to print, met while ordering terms
             raise ParseError(str(exc), lineno, vcol)
 

@@ -12,8 +12,11 @@ exp(k*alpha*ln t - lgamma(1+k*alpha)) instead, so a value that fits in a
 double is returned even at high order; a NaN or infinite total is an
 EvalError. Error tables compare against a reference, the problem's closed
 form in x and t, when one is given; each point's sum is checked before its
-reference, so a table fails at its first failing point in grid order.
+reference, so a table fails at its first failing point in grid order. Each
+row's fields are filled in one step (_row), not through the frozen
+dataclass __init__, which sets each field with object.__setattr__.
 
+A csv table prints each distinct nonzero x and t once and reuses the text.
 A json table is laid out from the text of json's C encoder: the rows are
 encoded flat and indented as json.dumps(..., indent=2) would, which would
 otherwise fall back to the pure-Python encoder.
@@ -142,6 +145,14 @@ class TableRow:
     error: Optional[float] = None
 
 
+def _row(x, t, approx, reference=None, error=None) -> TableRow:
+    """TableRow(x, t, approx, reference, error), its fields filled in one step
+    rather than one object.__setattr__ each, as the frozen __init__ does."""
+    row = object.__new__(TableRow)
+    row.__dict__.update(x=x, t=t, approx=approx, reference=reference, error=error)
+    return row
+
+
 @dataclass(frozen=True)
 class ErrorTable:
     problem: str
@@ -164,13 +175,15 @@ def error_table(
 ) -> ErrorTable:
     """Evaluate on the grid and compare against the reference, if any."""
     compiled = _Compiled(sol, grid.params)
-    rows = []
-    for xv, tv, approx in compiled.grid(grid.xs, grid.ts):
-        if reference is None:
-            rows.append(TableRow(xv, tv, approx))
-        else:
-            refv = reference.eval(xv, tv, compiled.bind)
-            rows.append(TableRow(xv, tv, approx, refv, abs(approx - refv)))
+    points = compiled.grid(grid.xs, grid.ts)
+    if reference is None:
+        rows = [_row(xv, tv, approx) for xv, tv, approx in points]
+    else:
+        ref, bind = reference.eval, compiled.bind
+        rows = []
+        for xv, tv, approx in points:
+            refv = ref(xv, tv, bind)
+            rows.append(_row(xv, tv, approx, refv, abs(approx - refv)))
     return ErrorTable(
         problem=sol.problem.name,
         order=sol.order,
@@ -196,13 +209,30 @@ def _row_values(row: TableRow, has_reference: bool) -> tuple[float, ...]:
     return row.x, row.t, row.approx
 
 
+class _Cells(dict):
+    """Grid values by value, each printed "%.17g" once. A zero is printed every
+    time and never kept: 0.0 == -0.0, but they print differently."""
+
+    def __missing__(self, v) -> str:
+        s = "%.17g" % v
+        if v:
+            self[v] = s
+        return s
+
+
 def _export_table(table: ErrorTable, fmt: str) -> str:
     cols = _table_columns(table)
     if fmt == "csv":
-        # one % per row; "%.17g" % v is format(float(v), ".17g")
-        row = ",".join(["%.17g"] * len(cols))
+        # one % per row; "%.17g" % v is format(float(v), ".17g"). A grid repeats
+        # each x and t, so each is formatted once per table
+        cells = _Cells()
+        row = "%s,%s" + ",%.17g" * (len(cols) - 2)
         lines = [",".join(cols)]
-        lines += [row % _row_values(r, table.has_reference) for r in table.rows]
+        if table.has_reference:
+            lines += [row % (cells[r.x], cells[r.t], r.approx, r.reference, r.error)
+                      for r in table.rows]
+        else:
+            lines += [row % (cells[r.x], cells[r.t], r.approx) for r in table.rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         head = json.dumps({

@@ -93,8 +93,12 @@ ScalarLike = Union["Scalar", int, Fraction]
 
 def _shown(value, bits: int, noun: str = "") -> str:
     """value as printed while its largest integer has at most 128 bits (about 39
-    digits), else noun and that size: past str()'s limit the digits fail to format."""
-    return str(value) if bits <= 128 else f"{noun}with a {bits}-bit integer"
+    digits), else noun and that size: past str()'s limit the digits fail to format.
+    A print past 100 characters is cut there and ends in "..."."""
+    if bits > 128:
+        return f"{noun}with a {bits}-bit integer"
+    s = str(value)
+    return s if len(s) <= 100 else s[:100] + "..."
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -695,7 +699,7 @@ class Scalar:
             dv = 1.0 if self.den is _ONE_SUM else _eval_sum(self.den, self.dd, params)
         except OverflowError as exc:
             raise EvalError(f"overflow evaluating a scalar with a {self.bit_size()}-bit integer") from exc
-        if dv == 0.0:
+        if dv == 0.0 or (self.den is not _ONE_SUM and _exactly_zero(self.den, params)):
             raise EvalError(
                 f"denominator of {_shown(self, self.bit_size(), 'a scalar ')} evaluates to zero")
         return nv / dv
@@ -775,6 +779,22 @@ def _eval_sum(monos, d: int, params: Mapping[str, float]) -> float:
             v *= _eval_atom(atom, e, params)
         total += v
     return total
+
+
+def _exactly_zero(monos, params: Mapping[str, float]) -> bool:
+    """Whether a stored sum of rationals times integer powers of parameters is 0
+    at the binding, each bound float read as the rational it is; False for a sum
+    with any other atom or exponent. Every parameter is bound once eval's float
+    sum is taken."""
+    total = Fraction(0)
+    for k, c in monos:
+        v = Fraction(c)
+        for atom, e in _decoded(k):
+            if atom[0] != "p" or e.denominator != 1:
+                return False
+            v *= Fraction(float(params[atom[1]])) ** e
+        total += v
+    return not total
 
 
 def _exp_source(e: Fraction) -> str:

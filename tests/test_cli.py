@@ -155,8 +155,10 @@ def test_stdout_matches_golden_digests(capsys, problems_dir):
     the composite-denominator alpha 5/6, plus the numeric output:
     `table --exact --format csv` on kolmogorov and burgers-delay (alpha 1,
     K = 16), a klein-gordon `table` with bound parameters, both tables of
-    kolmogorov and klein-gordon again as `--format json`, and `eval` on
-    kolmogorov at K = 200.
+    kolmogorov and klein-gordon again as `--format json`, `eval` on
+    kolmogorov at K = 200, and a dense 51x51 grid that crosses x = 0 (K = 16):
+    kolmogorov `table --exact` as csv and pretty, and burgers-delay at
+    alpha 1 as csv without a reference.
 
     The digests in tests/data/golden_stdout.json pin the exact coefficients,
     verdicts and printed numbers byte for byte. Only a change that means to alter stdout may
@@ -164,7 +166,7 @@ def test_stdout_matches_golden_digests(capsys, problems_dir):
     code, and say in the change what output changed and why.
     """
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) == 44
+    assert len(cases) == 47
     assert not _golden_mismatches(capsys, cases, problems_dir)
 
 
@@ -524,10 +526,16 @@ _TABLE_NU_1 = ("table", "-K", "2", "--param", "nu=1", "--grid", "x=1:1:1 t=0:1:1
      "error: line 3, col 7: rational base with a 987-bit integer too large to factor"),
     ("param nu\nic0 = x/(nu - 1)", _TABLE_NU_1, 1,
      "error: denominator of (-1)/(1 - nu) evaluates to zero"),
+    # its float terms leave about 8e-14 at nu = 1; the exact sum is 0, and a
+    # print past 100 characters is cut there
+    (f"param nu\nic0 = x/({' + '.join(['nu'] + [f'nu^{k}' for k in range(2, 61)])} - 60)",
+     _TABLE_NU_1, 1,
+     "error: denominator of (-1/60)/(1 - 1/60*nu - 1/60*nu^2 - 1/60*nu^3 - 1/60*nu^4 - 1/60*nu^5"
+     " - 1/60*nu^6 - 1/60*nu^7 - 1/60*... evaluates to zero"),
     ("ic0 = sqrt(-2)*x", ("coeffs", "-K", "1"), 2,
      "error: line 3, col 7: fractional power of negative rational -2"),
 ], ids=["zero-denominator", "negative-sqrt", "negative-cube-root", "factor",
-        "zero-denominator-short", "negative-sqrt-short"])
+        "zero-denominator-short", "near-zero-denominator", "negative-sqrt-short"])
 def test_diagnostics_name_huge_numbers_by_size(tmp_path, lines, argv, code, message):
     path = tmp_path / "big.frac"
     path.write_text(f"alpha = 1/2\norder = 1\n{lines}\nrhs = Dx(psi)\n")

@@ -519,6 +519,35 @@ def test_products_within_the_bounds_expand():
         parse_rhs(f"{t50}*{t50}*psi")
 
 
+_COSH_PAIR = "cosh({0}*x)^99*cosh({0}*x)^99"  # 17,956 monomial pairs, within one product's bound
+
+
+@pytest.mark.parametrize("key, value, col, pairs", [
+    ("ic0", " + ".join(_COSH_PAIR.format(k) for k in range(1, 17)), 47, 35912),
+    ("rhs", f"Dx(psi) + {_COSH_PAIR.format(1)}*psi + {_COSH_PAIR.format(2)}*psi", 61, 36112),
+    # an @ argument is lowered on its line's count too
+    ("rhs", f"{_COSH_PAIR.format(1)}*psi + psi@(x*({_COSH_PAIR.format(2)})^0, t)", 59, 36112),
+], ids=["sum", "rhs", "scaling"])
+def test_line_work_is_bounded(key, value, col, pairs):
+    # each product is within its bounds, but a line's products together stop
+    # in their second cosh pair, before its last product is formed
+    lines = {"ic0": "x", "rhs": "Dx(psi)", key: value}
+    text = "alpha = 1/2\norder = 1\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert time.perf_counter() - start < 1.0
+    e = err.value
+    assert (e.line, e.col) == (list(lines).index(key) + 3, col), str(e)
+    assert e.message == f"products of {pairs} monomial pairs on one line out of supported range"
+
+
+def test_line_work_is_counted_per_line():
+    pair = _COSH_PAIR.format(1)
+    prob = parse_problem(f"alpha = 1/2\norder = 1\nic0 = {pair}\nforcing 1 = {pair}\nrhs = Dx(psi)\n")
+    assert prob.ics[0] == prob.rhs.forcing[0][1] == parse_expr(pair)
+
+
 def test_integer_sizes_are_bounded():
     # the integers of a product's two factors, exponents and frequencies
     # included, may have 4,096 bits between them; a number 1,000 characters

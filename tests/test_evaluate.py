@@ -1,9 +1,12 @@
 """Numeric layer: pointwise sums, truncation error, export round trips."""
 
+import copy
 import dataclasses
 import inspect
 import json
 import math
+import pickle
+import random
 import typing
 from fractions import Fraction
 
@@ -172,6 +175,63 @@ def test_json_table_bytes_equal_indented_dumps():
     for tab in tables:
         assert export(tab, "json") == _indented_json(tab), tab
     assert "Infinity" in export(tables[3], "json")
+
+
+def test_table_rows_equal_constructed_rows(diffusion_problem):
+    sol = solve(diffusion_problem, 6)
+    grid = EvalGrid((-0.5, 0.0, 0.25), (0.0, 0.5))
+    for ref in (None, diffusion_problem.exact):
+        tab = error_table(sol, ref, grid)
+        for r in tab.rows:
+            if ref is None:
+                built = TableRow(r.x, r.t, r.approx)
+            else:
+                built = TableRow(r.x, r.t, r.approx, r.reference, r.error)
+            assert type(r) is TableRow
+            assert r == built and hash(r) == hash(built)
+            assert repr(r) == repr(built) and vars(r) == vars(built)
+
+
+def test_table_rows_stay_frozen(diffusion_problem):
+    sol = solve(diffusion_problem, 4)
+    row = error_table(sol, diffusion_problem.exact, EvalGrid((0.5,), (0.25,))).rows[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.approx = 0.0
+    assert pickle.loads(pickle.dumps(row)) == row
+    assert copy.copy(row) == row and copy.deepcopy(row) == row
+    moved = dataclasses.replace(row, approx=row.approx + 1.0)
+    assert type(moved) is TableRow and moved.approx == row.approx + 1.0
+    assert dataclasses.replace(moved, approx=row.approx) == row
+
+
+def test_csv_cells_print_as_one_format_each():
+    # each distinct nonzero x and t is printed once per table; equal values
+    # print alike, and 0.0 and -0.0, equal but printed apart, each as itself
+    rng = random.Random(26)
+    pool = [0.0, -0.0, 0, Fraction(0), math.nan, math.inf, -math.inf, 0.1, 0.5,
+            Fraction(1, 2), 2, 2.0, True, 1.0, -1e-300, 5e-324, 1e308, 1 / 3]
+
+    def naive(tab):
+        lines = [",".join(["x", "t", "approx"]
+                          + (["reference", "abs_error"] if tab.has_reference else []))]
+        for r in tab.rows:
+            vals = (r.x, r.t, r.approx) + ((r.reference, r.error) if tab.has_reference else ())
+            lines.append(",".join("%.17g" % v for v in vals))
+        return "\n".join(lines) + "\n"
+
+    for n in (1, 7, 200):
+        axes = [[rng.choice(pool) for _ in range(5)] for _ in range(2)]
+        rows = [(rng.choice(axes[0]), rng.choice(axes[1]), rng.choice(pool),
+                 rng.choice(pool), rng.choice(pool)) for _ in range(n)]
+        plain = ErrorTable("p", 2, "1/2", tuple(TableRow(*r[:3]) for r in rows),
+                           has_reference=False)
+        full = ErrorTable("p", 2, "1/2", tuple(TableRow(*r) for r in rows),
+                          has_reference=True, reference_desc="x")
+        for tab in (plain, full):
+            assert export(tab, "csv") == naive(tab)
+    signed = ErrorTable("p", 1, "1", (TableRow(0.0, 0.0, 1.0), TableRow(-0.0, -0.0, 1.0),
+                                      TableRow(0.0, -0.0, 1.0)), has_reference=False)
+    assert export(signed, "csv") == "x,t,approx\n0,0,1\n-0,-0,1\n0,-0,1\n"
 
 
 def test_pretty_table_layout(diffusion_problem):

@@ -513,6 +513,19 @@ def test_fractional_power_domain():
     assert (((a + 1) ** 2) - (a * a + 2 * a + 1)).is_zero()
 
 
+def test_denominator_zero_at_the_binding_is_an_error():
+    # the 61 float terms of 1 - nu/60 - ... - nu^60/60 leave about 8e-14 at
+    # nu = 1; the exact sum at the bound rational is 0
+    nu = Scalar.param("nu")
+    den = sum((nu ** k for k in range(2, 61)), nu) - 60
+    value = Scalar.one() / den
+    with pytest.raises(EvalError, match=r"^denominator of .{100}\.\.\. evaluates to zero$"):
+        value.eval({"nu": 1.0})
+    assert value.eval({"nu": 1.5}) == pytest.approx(1 / float(sum(1.5 ** k for k in range(1, 61)) - 60))
+    with pytest.raises(EvalError, match=r"^denominator of \(-1\)/\(1 - nu\) evaluates to zero$"):
+        (Scalar.one() / (nu - 1)).eval({"nu": 1.0})
+
+
 def test_unbound_parameter_is_an_error():
     with pytest.raises(EvalError):
         Scalar.param("zeta").eval({})
