@@ -32,7 +32,7 @@ at most 99 in absolute value (a power of psi 12), and each product it forms, a
 squaring step of a power too, degree at most 99, at most _MAX_PAIRS scalar
 monomial pairs and at most _MAX_BITS bits in its factors' largest integers. The
 products of one line may take at most _MAX_LINE_PAIRS monomial pairs between
-them.
+them, and the products of one problem file at most _MAX_FILE_PAIRS.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ _MAX_DIGITS = 1000
 # and demos need at most 12, the 60,000-string rhs corpus 1,666 and Tier-1 17,954
 # (cosh(x)^99*cosh(x)^99). A sum of such products stops in its second term.
 _MAX_LINE_PAIRS = 32768
+# Scalar monomial pairs all products of one problem file may multiply, summed. The shipped
+# problems, tests/data and demos need at most 28 and Tier-1 35,912 (two lines of
+# cosh(x)^99*cosh(x)^99), so eight such lines stop in their third.
+_MAX_FILE_PAIRS = 49152
 
 
 # -- tokens -------------------------------------------------------------------
@@ -268,14 +272,16 @@ class _Parser:
 
 class _Env:
     """One line's lowering state: name rules (params; None: any new name is a
-    parameter), var, lowered as x, and the monomial pairs its products took."""
+    parameter), var, lowered as x, the monomial pairs its products took and
+    those the file's earlier lines took."""
 
-    __slots__ = ("params", "var", "pairs")
+    __slots__ = ("params", "var", "pairs", "spent")
 
-    def __init__(self, params: Optional[Iterable[str]] = None, var: str = "x"):
+    def __init__(self, params: Optional[Iterable[str]] = None, var: str = "x", spent: int = 0):
         self.params = None if params is None else frozenset(params)
         self.var = var
         self.pairs = 0
+        self.spent = spent
 
     def check_param(self, name: str, pos) -> None:
         if name in _ALL_BUILTIN:
@@ -309,8 +315,8 @@ def _monomials(e: Expr) -> int:  # of its coefficients; a denominator of 1 not c
 
 
 def _mul(a: Expr, b: Expr, pos, env: _Env) -> Expr:
-    """a*b, once its degree, monomial pairs, the line's pairs with them and integer
-    sizes are in bounds."""
+    """a*b, once its degree, monomial pairs, the line's and the file's pairs with
+    them and integer sizes are in bounds."""
     degree = sum(max((len(poly) for _, poly in e.terms), default=1) - 1 for e in (a, b))
     if degree > _MAX_X_POWER:
         raise ParseError(f"degree {degree} out of supported range", *pos)
@@ -320,6 +326,9 @@ def _mul(a: Expr, b: Expr, pos, env: _Env) -> Expr:
     env.pairs += pairs
     if env.pairs > _MAX_LINE_PAIRS:
         raise ParseError(f"products of {env.pairs} monomial pairs on one line out of supported range", *pos)
+    if env.spent + env.pairs > _MAX_FILE_PAIRS:
+        raise ParseError(f"products of {env.spent + env.pairs} monomial pairs in one file "
+                         "out of supported range", *pos)
     bits = sum(max((c.bit_size() for f, p in e.terms for c in (f, *p)), default=0) for e in (a, b))
     if bits > _MAX_BITS:
         raise ParseError(f"product of {bits}-bit integers out of supported range", *pos)
@@ -712,11 +721,14 @@ def parse_problem(text: str, default_name: str = "problem") -> Problem:
     # parameters first, so every other line knows them; each kind in file order
     params = [extra for kind, extra in lines if kind == "param"]
     values: dict[tuple, object] = {}
+    spent = 0
     for slot, (lineno, val, vcol) in sorted(lines.items(), key=lambda kv: kv[0][0] != "param"):
+        env = _Env(params, spent=spent)
         try:
-            values[slot] = _lower_line(*slot, val, _Env(params), lineno, vcol)
+            values[slot] = _lower_line(*slot, val, env, lineno, vcol)
         except ScalarError as exc:  # a constant too large to print, met while ordering terms
             raise ParseError(str(exc), lineno, vcol)
+        spent += env.pairs
 
     alpha, order, rhs_terms = (values.get((kind, None)) for kind in ("alpha", "order", "rhs"))
     for key_name, value in (("alpha", alpha), ("order", order), ("rhs", rhs_terms)):

@@ -699,7 +699,13 @@ class Scalar:
             dv = 1.0 if self.den is _ONE_SUM else _eval_sum(self.den, self.dd, params)
         except OverflowError as exc:
             raise EvalError(f"overflow evaluating a scalar with a {self.bit_size()}-bit integer") from exc
-        if dv == 0.0 or (self.den is not _ONE_SUM and _exactly_zero(self.den, params)):
+        exact = None if self.den is _ONE_SUM else _exact_sum(self.den, self.dd, params)
+        if dv == 0.0 and exact:
+            dv = float(exact)  # the float terms cancelled where the exact ones do not
+            if dv == 0.0:
+                raise EvalError(f"denominator of {_shown(self, self.bit_size(), 'a scalar ')} "
+                                "underflows to zero")
+        if dv == 0.0 or exact == 0:
             raise EvalError(
                 f"denominator of {_shown(self, self.bit_size(), 'a scalar ')} evaluates to zero")
         return nv / dv
@@ -781,20 +787,20 @@ def _eval_sum(monos, d: int, params: Mapping[str, float]) -> float:
     return total
 
 
-def _exactly_zero(monos, params: Mapping[str, float]) -> bool:
-    """Whether a stored sum of rationals times integer powers of parameters is 0
-    at the binding, each bound float read as the rational it is; False for a sum
-    with any other atom or exponent. Every parameter is bound once eval's float
-    sum is taken."""
+def _exact_sum(monos, d: int, params: Mapping[str, float]) -> Fraction | None:
+    """The exact value at the binding of a stored sum of rationals times integer
+    powers of parameters, each bound float read as the rational it is; None for
+    a sum with any other atom or exponent. Every parameter is bound once eval's
+    float sum is taken."""
     total = Fraction(0)
     for k, c in monos:
         v = Fraction(c)
         for atom, e in _decoded(k):
             if atom[0] != "p" or e.denominator != 1:
-                return False
+                return None
             v *= Fraction(float(params[atom[1]])) ** e
         total += v
-    return not total
+    return total / d
 
 
 def _exp_source(e: Fraction) -> str:

@@ -13,7 +13,9 @@ vanish the way derivatives of constants do).
 Multiplication re-normalizes the plain Cauchy product, so coefficient k of
 a product picks up the exact weight Gamma(1+k*a) / (Gamma(1+i*a) *
 Gamma(1+j*a)) on each pair i+j = k; the weights stay symbolic through the
-Scalar layer (and collapse to binomial coefficients at alpha = 1).
+Scalar layer (and collapse to binomial coefficients at alpha = 1). The
+weight is symmetric in i and j, so a square takes each pair i < j once at
+twice its weight.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ def gamma_factor(alpha: Fraction, k: int) -> Scalar:
 
 def _mul_weight(alpha: Fraction, i: int, j: int) -> Scalar:
     return _weight(alpha, i, j) if i <= j else _weight(alpha, j, i)
+
+
+def _square_weight(alpha: Fraction, i: int, j: int) -> Scalar:
+    """Weight of the pair i <= j in a square, which also stands for (j, i)."""
+    w = _weight(alpha, i, j)
+    return w if i == j else w * 2
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
@@ -117,11 +125,26 @@ class FracSeries:
                 out[k] = out.get(k, Expr.zero()) + term
         return FracSeries(self.alpha, kmax, out)
 
+    def square(self, kmax: int) -> "FracSeries":
+        """self.mul(self, kmax), one symmetric product over the pairs i <= j."""
+        out: dict[int, Expr] = {}
+        coeffs = self.coeffs
+        for n, (i, a) in enumerate(coeffs):
+            if 2 * i > kmax:
+                break
+            for j, b in coeffs[n:]:
+                k = i + j
+                if k > kmax:
+                    break
+                term = (a * b).scalar_mul(_square_weight(self.alpha, i, j))
+                out[k] = out.get(k, Expr.zero()) + term
+        return FracSeries(self.alpha, kmax, out)
+
     def pow(self, p: int, kmax: int) -> "FracSeries":
         if p < 1:
             raise FracError(f"series power must be >= 1, got {p}")
-        acc = self.truncate(kmax)
-        for _ in range(p - 1):
+        acc = self.square(kmax) if p > 1 else self.truncate(kmax)
+        for _ in range(p - 2):
             acc = acc.mul(self, kmax)
         return acc
 

@@ -9,17 +9,20 @@ No symbolic unknowns and no limit process are involved; substituting only the
 already-known prefix is exact because the k-m coefficient of R[S] never reads
 series entries above k-1 (every operation here preserves or raises grid order).
 solve reads it off online series products (van der Hoeven, "Relax, but don't
-be too lazy", J. Symb. Comput. 2002); solve_linear is solve behind a guard.
+be too lazy", J. Symb. Comput. 2002), a power's first squaring one symmetric
+product; solve_linear is solve behind a guard.
 The last problem's streams are kept, so solving it again at another order
 reads or extends them instead of starting over.
 
 Verification is independent of the construction: residual_series recomputes
 D_t^(m*alpha) S - R[S] from scratch with the batch operator apply_rhs and
-checks that its low-order coefficients are structurally zero. residual_orders
-reuses its last verdicts only for an equal problem, alpha and coefficient
-prefix at the kept order or below, which is sound because verdict j reads
-nothing but m, the rhs, alpha and coefficients 0..j+m. That record and the
-engine never read each other.
+checks that its low-order coefficients are structurally zero. apply_rhs
+shares work only within one call: each image (a factor's base series after
+its x-derivatives) is computed once, and a square is one symmetric product.
+residual_orders reuses its last verdicts only for an equal problem, alpha and
+coefficient prefix at the kept order or below, which is sound because verdict
+j reads nothing but m, the rhs, alpha and coefficients 0..j+m. That record
+and the engine never read each other.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import NotLinear, ProblemError, TimeCoefficientIncompatible
 from .expr import Expr
 from .problems import Problem, RhsOperator, RhsTerm
 from .scalar import Scalar
-from .series import FracSeries, _mul_weight
+from .series import FracSeries, _mul_weight, _square_weight
 
 
 @dataclass(frozen=True)
@@ -98,20 +101,26 @@ def _apply_tcoef(s: FracSeries, tcoef: Expr, kmax: int) -> FracSeries:
 def apply_rhs(rhs: RhsOperator, series: FracSeries, kmax: int) -> FracSeries:
     """Apply a structured right-hand side to a truncated series.
 
-    Per term: each factor's base (the series, or its nested right-hand side
-    applied to it), then x-derivatives, then argument scaling, then the factor
-    power, then the product across factors, then the x-coefficient and the time
-    coefficient. Source terms (no factors) contribute coeff * tcoef alone.
+    Per term: each factor's image (the series, or its nested right-hand side
+    applied to it, after its x-derivatives), then argument scaling, then the
+    factor power, then the product across factors, then the x-coefficient and
+    the time coefficient. Source terms (no factors) contribute coeff * tcoef
+    alone. Each image is computed once per call, however many factors and
+    nesting levels read it.
     """
     if kmax < 0:
         raise ProblemError("target truncation must be >= 0")
-    alpha = series.alpha
+    return _apply(rhs, series.truncate(kmax), {})
+
+
+def _apply(rhs: RhsOperator, series: FracSeries, images: dict) -> FracSeries:
+    """apply_rhs on a series truncated at kmax, with the call's image table."""
+    alpha, kmax = series.alpha, series.trunc
     total = FracSeries.zero(alpha, kmax)
     for term in rhs.terms:
         acc = None
         for f in term.factors:
-            base = series if f.inner is None else apply_rhs(f.inner, series, kmax)
-            base = base.dx(f.n) if f.n else base
+            base = _image(f.inner, f.n, series, images)
             if f.scaled:
                 base = base.scale_args(f.xscale, f.tscale)
             base = base.pow(f.power, kmax)
@@ -122,6 +131,24 @@ def apply_rhs(rhs: RhsOperator, series: FracSeries, kmax: int) -> FracSeries:
             acc = acc.expr_mul(term.coeff)
         total = total.add(_apply_tcoef(acc, term.tcoef, kmax))
     return total.add(FracSeries(alpha, kmax, dict(rhs.forcing)))
+
+
+def _image(inner: RhsOperator | None, n: int, series: FracSeries, images: dict) -> FracSeries:
+    """D_x^n B, B = series or inner applied to it, kept in images by (inner, n).
+
+    D_x^n B is one step from D_x^(n-1) B: Expr.diff_x(n) takes n single steps,
+    so the coefficients are the same.
+    """
+    image = images.get((inner, n))
+    if image is None:
+        if n:
+            image = _image(inner, n - 1, series, images).dx(1)
+        elif inner is None:
+            image = series
+        else:
+            image = _apply(inner, series, images)
+        images[inner, n] = image
+    return image
 
 
 # -- the coefficient engine ---------------------------------------------------------
@@ -161,6 +188,22 @@ def _product(alpha: Fraction, a: _Stream, b: _Stream) -> _Stream:
     return _Stream(coeff)
 
 
+def _square(alpha: Fraction, a: _Stream) -> _Stream:
+    """Online square, summed in the order FracSeries.square sums it."""
+
+    def coeff(j: int) -> Expr:
+        a[j]
+        out = Expr.zero()
+        for i in a.nonzero:
+            if 2 * i > j:
+                break
+            if not a[j - i].is_zero():
+                out = out + (a.coeffs[i] * a[j - i]).scalar_mul(_square_weight(alpha, i, j - i))
+        return out
+
+    return _Stream(coeff)
+
+
 def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
     """One right-hand-side term as a stream, built in apply_rhs's operation order."""
     if not term.factors:
@@ -168,8 +211,9 @@ def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
     else:
         acc = None
         for f in term.factors:
-            base = p = image(f.n, f.xscale, f.tscale, f.inner)
-            for _ in range(f.power - 1):
+            base = image(f.n, f.xscale, f.tscale, f.inner)
+            p = _square(alpha, base) if f.power > 1 else base
+            for _ in range(f.power - 2):
                 p = _product(alpha, p, base)
             acc = p if acc is None else _product(alpha, acc, p)
         s = _Stream(lambda j: Expr.zero() if acc[j].is_zero() else acc[j] * term.coeff)

@@ -548,6 +548,20 @@ def test_line_work_is_counted_per_line():
     assert prob.ics[0] == prob.rhs.forcing[0][1] == parse_expr(pair)
 
 
+def test_file_work_is_bounded():
+    # each line is within its bound, but a file's lines together stop in
+    # the third of eight, before its last product is formed
+    text = "alpha = 1/2\norder = 1\nic0 = x\nrhs = Dx(psi)\n" + "".join(
+        f"forcing {k} = {_COSH_PAIR.format(k)}\n" for k in range(1, 9))
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert time.perf_counter() - start < 2.0
+    e = err.value
+    assert (e.line, e.col) == (7, 25), str(e)
+    assert e.message == "products of 53868 monomial pairs in one file out of supported range"
+
+
 def test_integer_sizes_are_bounded():
     # the integers of a product's two factors, exponents and frequencies
     # included, may have 4,096 bits between them; a number 1,000 characters

@@ -526,6 +526,20 @@ def test_denominator_zero_at_the_binding_is_an_error():
         (Scalar.one() / (nu - 1)).eval({"nu": 1.0})
 
 
+def test_denominator_cancelling_in_floats_divides_by_its_exact_value():
+    # at nu = 1 + 2^-52 the float terms of 1 - 2*nu + nu^2 cancel to 0.0;
+    # the denominator is 2^-104 and the value, about 2.0e31, fits in a double
+    nu, omega = Scalar.param("nu"), Scalar.param("omega")
+    value = Scalar.one() / (nu * nu - 2 * nu + 1)
+    b = 1.0000000000000002
+    q = Fraction(b)
+    assert b * b - 2 * b + 1 == 0.0
+    assert value.eval({"nu": b}) == pytest.approx(float(1 / (q * q - 2 * q + 1)), rel=1e-15, abs=0)
+    # a nonzero exact denominator whose float is 0.0 too is still an error
+    with pytest.raises(EvalError, match=r"^denominator of \(1\)/\(nu\^2 \+ omega\^2\) underflows to zero$"):
+        (Scalar.one() / (nu * nu + omega * omega)).eval({"nu": 1e-200, "omega": 1e-200})
+
+
 def test_unbound_parameter_is_an_error():
     with pytest.raises(EvalError):
         Scalar.param("zeta").eval({})

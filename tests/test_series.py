@@ -15,7 +15,9 @@ import pytest
 
 from fracseries.errors import AlphaMismatch
 from fracseries.expr import Expr
+from fracseries.scalar import Scalar
 from fracseries.series import FracSeries, _mul_weight, gamma_factor
+from fracseries.solver import solve
 
 
 def _raw_eval(series, x, t):
@@ -185,6 +187,31 @@ def test_pow_matches_repeated_mul():
         s = _random_series(rng, alpha, 3)
         assert s.pow(2, 6) == s.mul(s, 6)
         assert s.pow(3, 6) == s.mul(s, 6).mul(s, 6)
+
+
+def test_square_equals_mul_by_itself(wave_problem):
+    # structural equality: the pairs i < j taken once at twice their weight
+    # give the Exprs that both orders of each pair give, at alphas whose
+    # weights hold Gamma atoms and on coefficients with Gamma and parameter
+    # atoms (klein-gordon's), zeros inside the series and kmax below its top
+    rng = random.Random(312)
+    atoms = [Scalar.one(), Scalar.gamma(Fraction(2, 7)), Scalar.gamma(Fraction(3, 4)),
+             Scalar.param("nu") / 3]
+    wave = solve(wave_problem, 5).coeffs
+    for _ in range(40):
+        alpha = rng.choice((Fraction(2, 7), Fraction(3, 4)))
+        trunc = rng.randrange(0, 6)
+        coeffs = {}
+        for k in range(trunc + 1):
+            if rng.random() < 0.3:
+                continue
+            poly = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))]
+            coeffs[k] = (Expr.poly(poly) + rng.choice(wave)).scalar_mul(rng.choice(atoms))
+        s = FracSeries(alpha, trunc, coeffs)
+        kmax = rng.randrange(0, 2 * trunc + 2)
+        assert s.square(kmax) == s.mul(s, kmax), (alpha, trunc, kmax)
+    s = FracSeries(Fraction(2, 7), 3, {0: wave[0], 2: wave[1], 3: Expr.x()})
+    assert s.square(4) == s.mul(s, 4) and [k for k, _ in s.square(4).coeffs] == [0, 2, 3, 4]
 
 
 def test_add_requires_matching_alpha():

@@ -26,6 +26,9 @@ from fracseries.solver import (
     _drop_engine,
     _drop_verdicts,
     _Engine,
+    _product,
+    _square,
+    _Stream,
     apply_rhs,
     mittag_leffler_form,
     residual_orders,
@@ -319,6 +322,13 @@ def _delay_at(alpha):
         "alpha = 1/2\norder = 1\nic0 = x^2 + 1\n"
         "rhs = Dx(x*psi@(x/2,t/2)^2, 2) + Dx(psi*Dx(psi^2))@(x/3,t/4)\n"
     ), 6, id="nested-dx"),
+    pytest.param(lambda r: parse_problem(
+        "alpha = 2/7\norder = 1\nic0 = cosh(x) + x\nrhs = psi^2 - Dx(psi)^3/7\n"
+    ), 6, id="square-2/7"),
+    pytest.param(lambda r: parse_problem(
+        "alpha = 1/2\norder = 2\nic0 = x^2 + 1\nic1 = sinh(x/2)\n"
+        "rhs = Dx(psi^2) - Dx(psi^2, 2)/3 + Dx(psi^2, 4)/12\n"
+    ), 7, id="nested-dx-1-2-4"),
 ])
 def test_engine_equals_apply_rhs_recurrence(request, build, order):
     # structural equality, not a zero test on the difference: the engine
@@ -348,6 +358,46 @@ def test_each_derivative_image_is_computed_once(monkeypatch, diffusion_problem,
         calls = 0
         solve(prob, order)
         assert calls == want, prob.name
+
+
+def test_square_stream_equals_the_product_stream(wave_problem):
+    # coefficient by coefficient, with zeros inside the stream, and with the
+    # stream read ahead of the square by the product sharing it
+    coeffs = list(solve(wave_problem, 6).coeffs)
+    coeffs[3] = Expr.zero()
+    for alpha in (Fraction(2, 7), Fraction(1, 2), Fraction(1)):
+        a = _Stream(lambda j: coeffs[j] if j < len(coeffs) else Expr.zero())
+        product, square = _product(alpha, a, a), _square(alpha, a)
+        want = [product[j] for j in range(9)]
+        assert [square[j] for j in range(9)] == want, alpha
+        assert sum(not e.is_zero() for e in want) >= 6
+
+
+def test_the_check_applies_each_image_once(monkeypatch, wave_problem):
+    # klein-gordon's rhs, nu*Dx(psi^2,2) - omega*Dx(psi^2,4): one residual
+    # check applies psi^2 once and takes Dx^4 one step past Dx^2, so four
+    # single derivatives per nonzero coefficient of psi^2, not 2 + 4
+    p = wave_problem
+    sol = solve(p, 12)
+    kmax = sol.order - p.m
+    square = sol.series().pow(2, kmax)
+    applied, steps = [], [0]
+    apply, diff_x = solver._apply, Expr.diff_x
+
+    def counting_apply(rhs, series, images):
+        applied.append(rhs)
+        return apply(rhs, series, images)
+
+    def counting_diff_x(self, n=1):
+        steps[0] += n
+        return diff_x(self, n)
+
+    monkeypatch.setattr(solver, "_apply", counting_apply)
+    monkeypatch.setattr(Expr, "diff_x", counting_diff_x)
+    residual_series(p, sol)
+    inner = p.rhs.terms[0].factors[0].inner
+    assert applied == [p.rhs, inner]
+    assert steps[0] == 4 * len(square.coeffs) and len(square.coeffs) == kmax + 1
 
 
 def test_solve_extends_the_last_problems_engine(monkeypatch, diffusion_problem,
