@@ -56,7 +56,8 @@ class _Exit(Exception):
 
 # -- argument helpers -------------------------------------------------------------
 
-def _parse_params(pairs: Optional[Sequence[str]]) -> dict[str, float]:
+def _parse_params(pairs: Optional[Sequence[str]], prob: Problem) -> dict[str, float]:
+    """--param bindings: every value is checked first, then every name against prob."""
     out: dict[str, float] = {}
     for pair in pairs or ():
         name, sep, val = pair.partition("=")
@@ -69,6 +70,11 @@ def _parse_params(pairs: Optional[Sequence[str]]) -> dict[str, float]:
             raise _Exit(2, f"--param {name}: '{val}' is not a number")
         if not math.isfinite(out[name]):
             raise _Exit(2, f"--param {name}: '{val}' is not finite")
+    for name in out:
+        if name not in prob.params:
+            declared = ", ".join(prob.params) or "none"
+            raise _Exit(2, f"--param {name}: not a parameter of {prob.name} "
+                           f"(declared: {declared})")
     return out
 
 
@@ -207,7 +213,7 @@ def _cmd_table(args) -> int:
             raise _Exit(2, f"'{args.file}' declares no exact solution")
         reference = prob.exact
     xs, ts = _parse_grid(args.grid)
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, prob)
     sol = _solve_stage(prob, order)
     try:
         grid = EvalGrid(xs=xs, ts=ts, params=params)
@@ -221,7 +227,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_eval(args) -> int:
     prob, order = _load_stage(args)
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, prob)
     for flag, v in (("x", args.x), ("t", args.t)):
         if not math.isfinite(v):
             raise _Exit(2, f"{flag} must be finite, got {v}")

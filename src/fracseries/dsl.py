@@ -687,7 +687,12 @@ def _lower_line(kind: str, extra, val: str, env: _Env, lineno: int, vcol: int):
         return None
     node = _Parser(_tokenize(val, line=lineno, col=vcol)).parse_full()
     if kind == "param":
-        return _lower_scalar(node, env, f"value of parameter '{extra}'")
+        value = _lower_scalar(node, env, f"value of parameter '{extra}'")
+        names = value.free_params()  # defaults are evaluated with no binding
+        if names:
+            raise ParseError(f"value of parameter '{extra}' must not depend on "
+                             f"parameter '{min(names)}'", *node[1])
+        return value
     if kind == "alpha":
         alpha = _const_fraction(node, env, "alpha")
         if not (0 < alpha <= 1):

@@ -14,11 +14,16 @@ product; solve_linear is solve behind a guard.
 The last problem's streams are kept, so solving it again at another order
 reads or extends them instead of starting over.
 
+Both derivations build an image (a factor's base, psi or a nested right-hand
+side applied to it, after its x-derivatives) by one rule: it is kept in a
+table keyed by (nested operator or None, derivative order), D_x^n is one step
+from D_x^(n-1), and each factor applies its argument scaling after the image.
+
 Verification is independent of the construction: residual_series recomputes
 D_t^(m*alpha) S - R[S] from scratch with the batch operator apply_rhs and
 checks that its low-order coefficients are structurally zero. apply_rhs
-shares work only within one call: each image (a factor's base series after
-its x-derivatives) is computed once, and a square is one symmetric product.
+shares work only within one call: each image is computed once, and a square
+is one symmetric product.
 residual_orders reuses its last verdicts only for an equal problem, alpha and
 coefficient prefix at the kept order or below, which is sound because verdict
 j reads nothing but m, the rhs, alpha and coefficients 0..j+m. That record
@@ -204,6 +209,18 @@ def _square(alpha: Fraction, a: _Stream) -> _Stream:
     return _Stream(coeff)
 
 
+def _scaled(s: _Stream, xscale: Fraction, tscale: Fraction, alpha: Fraction) -> _Stream:
+    """s(xscale*x, tscale*t), coefficient j as FracSeries.scale_args forms it."""
+
+    def coeff(j: int) -> Expr:
+        e = s[j]
+        if e.is_zero():
+            return e
+        return e.scale_x(xscale).scalar_mul(Scalar.rational_power(tscale, j * alpha))
+
+    return _Stream(coeff)
+
+
 def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
     """One right-hand-side term as a stream, built in apply_rhs's operation order."""
     if not term.factors:
@@ -211,7 +228,9 @@ def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
     else:
         acc = None
         for f in term.factors:
-            base = image(f.n, f.xscale, f.tscale, f.inner)
+            base = image(f.inner, f.n)
+            if f.scaled:
+                base = _scaled(base, f.xscale, f.tscale, alpha)
             p = _square(alpha, base) if f.power > 1 else base
             for _ in range(f.power - 2):
                 p = _product(alpha, p, base)
@@ -232,65 +251,50 @@ def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
 
 
 class _Engine:
-    """The streams of one problem: its solution coefficients, starting with
-    the ICs, and the summed right-hand side, extended on demand.
-
-    The stream tables are keyed by rhs operator and by image; no stream
-    refers back to the engine, so dropping it frees them without a cycle.
+    """The streams of one problem, extended on demand: its solution
+    coefficients, starting with the ICs, and one table of images keyed by
+    (inner, n) under _image's rule. No stream refers back to the engine,
+    so dropping it frees them without a cycle.
     """
 
-    __slots__ = ("problem", "coeffs", "_summed", "_images")
+    __slots__ = ("problem", "coeffs", "_images")
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.coeffs: list[Expr] = list(problem.ics)
-        self._summed: dict[RhsOperator, _Stream] = {}
         self._images: dict[tuple, _Stream] = {}
 
-    def summed(self, rhs: RhsOperator) -> _Stream:
-        """rhs applied to the solution: its term streams plus its forcing."""
-        stream = self._summed.get(rhs)
+    def image(self, inner: RhsOperator | None, n: int = 0) -> _Stream:
+        """D_x^n B, B = psi or inner applied to the solution, as _image builds it."""
+        stream = self._images.get((inner, n))
         if stream is None:
-            forcing = dict(rhs.forcing)
-            streams = [_term_stream(t, self.image, self.problem.alpha) for t in rhs.terms]
+            if n:
+                prev = self.image(inner, n - 1)
 
-            def coeff(j: int) -> Expr:
-                out = forcing.get(j, Expr.zero())
-                for s in streams:
-                    e = s[j]
-                    if not e.is_zero():
-                        out = out + e
-                return out
+                def coeff(j: int) -> Expr:
+                    e = prev[j]
+                    return e if e.is_zero() else e.diff_x()
+            elif inner is None:
+                coeff = self.coeffs.__getitem__
+            else:
+                forcing = dict(inner.forcing)
+                streams = [_term_stream(t, self.image, self.problem.alpha) for t in inner.terms]
 
-            stream = self._summed[rhs] = _Stream(coeff)
-        return stream
+                def coeff(j: int) -> Expr:
+                    out = forcing.get(j, Expr.zero())
+                    for s in streams:
+                        e = s[j]
+                        if not e.is_zero():
+                            out = out + e
+                    return out
 
-    def image(self, n: int, xscale: Fraction, tscale: Fraction,
-              inner: RhsOperator | None) -> _Stream:
-        """(D_x^n B)(xscale*x, tscale*t), B = psi or inner, shared by every factor."""
-        key = (n, xscale, tscale, inner)
-        stream = self._images.get(key)
-        if stream is None:
-            base = self.coeffs if inner is None else self.summed(inner)
-            alpha = self.problem.alpha
-
-            def coeff(j: int) -> Expr:
-                e = base[j]
-                if e.is_zero():
-                    return e
-                if n:
-                    e = e.diff_x(n)
-                if xscale != 1 or tscale != 1:
-                    e = e.scale_x(xscale).scalar_mul(Scalar.rational_power(tscale, j * alpha))
-                return e
-
-            stream = self._images[key] = _Stream(coeff)
+            stream = self._images[inner, n] = _Stream(coeff)
         return stream
 
     def coefficients(self, order: int) -> tuple[Expr, ...]:
         """Coefficients 0..order, computing only those past the ones kept."""
         m = self.problem.m
-        rhs = self.summed(self.problem.rhs)
+        rhs = self.image(self.problem.rhs)
         while len(self.coeffs) <= order:
             self.coeffs.append(rhs[len(self.coeffs) - m])
         return tuple(self.coeffs[: order + 1])
@@ -310,9 +314,9 @@ def _drop_engine() -> None:
 def solve(problem: Problem, order: int) -> SeriesSolution:
     """Explicit recurrence: one new coefficient per step, nothing revisited.
 
-    Step k reads coefficient k-m of the right-hand side's summed stream; every
-    stream coefficient, and every x-derivative and argument scaling of a
-    solution coefficient or of a nested right-hand side, is computed once.
+    Step k reads coefficient k-m of the right-hand side's image stream; every
+    stream coefficient, and every single x-derivative of a solution
+    coefficient or of a nested right-hand side, is computed once.
     The last problem's streams are kept: solving it (or an == problem) again
     reuses its prefix, as step k reads only coefficients 0..k-1.
     """

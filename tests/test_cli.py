@@ -481,12 +481,24 @@ def test_non_finite_flag_is_2_before_solving(capsys, problems_dir, argv, message
     (("--grid", "x=0:1:0 t=0:1:1"), "x range step must be positive in '0:1:0'"),
     (("--grid", "y=0 t=0"), "bad grid component 'y=0' (want x=... or t=...)"),
     (("--grid", "x=0:1:1"), "grid must specify both x=a:b:step and t=a:b:step"),
+    (("--grid", "x=0:1:1 t=0:1:1", "--param", "nu=1"),
+     "--param nu: not a parameter of kolmogorov (declared: none)"),
 ], ids=["param-text", "range-two-parts", "range-text", "range-zero-division", "range-step-zero",
-        "grid-component", "grid-no-t"])
+        "grid-component", "grid-no-t", "param-undeclared"])
 def test_malformed_table_flag_is_2_before_solving(capsys, problems_dir, argv, message):
     code, out, err = run(capsys, "table", _fx(problems_dir, "kolmogorov.frac"), "-K", "4", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_misspelt_param_is_2_before_solving(capsys, tmp_path):
+    # a binding of an undeclared name would leave the default in place
+    path = tmp_path / "f.frac"
+    path.write_text("name = f\nalpha = 1/2\norder = 1\nparam nu = 3\nic0 = nu*x\nrhs = 0\n")
+    code, out, err = run(capsys, "eval", str(path), "-K", "2", "-x", "1", "-t", "0",
+                         "--param", "Nu=1")
+    assert code == 2 and out == ""
+    assert err == "error: --param Nu: not a parameter of f (declared: nu)\n"
 
 
 @pytest.mark.parametrize("binding, xv, message", [

@@ -604,6 +604,8 @@ _TOO_MANY_TERMS = "(" + "+".join(["psi"] + [f"Dx(psi,{n})" for n in range(1, 10)
     ("param nu omega\n" + _HEAD + "rhs = Dx(psi)\n", 1, 1, "expected 'param <name>'"),
     ("param\n" + _HEAD + "rhs = Dx(psi)\n", 1, 1, "expected 'param <name>'"),
     ("param nu\nparam nu\n" + _HEAD + "rhs = Dx(psi)\n", 2, 1, "duplicate 'param nu' line"),
+    ("param nu = 3\nparam omega = 2*nu\n" + _HEAD + "rhs = Dx(psi)\n", 2, 16,
+     "value of parameter 'omega' must not depend on parameter 'nu'"),
     ("alpha = 1/2\norder = 1\nic0 = x\nic1 = x\nrhs = Dx(psi)\n", 4, 1,
      "unexpected 'ic1': order = 1 needs ic0..ic0"),
     (b"alpha = 1/2\norder = 1\nic0 = x\xff\nrhs = Dx(psi)\n", None, None, "p.frac is not valid UTF-8"),

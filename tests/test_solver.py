@@ -329,6 +329,15 @@ def _delay_at(alpha):
         "alpha = 1/2\norder = 2\nic0 = x^2 + 1\nic1 = sinh(x/2)\n"
         "rhs = Dx(psi^2) - Dx(psi^2, 2)/3 + Dx(psi^2, 4)/12\n"
     ), 7, id="nested-dx-1-2-4"),
+    # one scaled factor read by two terms: each term scales its own factor
+    pytest.param(lambda r: parse_problem(
+        "alpha = 1/3\norder = 1\nic0 = x^2 + 1\n"
+        "rhs = psi@(x/2,t/2)*psi + Dx(psi)*psi@(x/2,t/2)\n"
+    ), 6, id="scaled-twice"),
+    pytest.param(lambda r: parse_problem(
+        "alpha = 1/2\norder = 1\nic0 = x^2 + 1\n"
+        "rhs = Dx(psi^2)@(x/2,t/2) + Dx(psi^2, 3)\n"
+    ), 6, id="scaled-nested-1-3"),
 ])
 def test_engine_equals_apply_rhs_recurrence(request, build, order):
     # structural equality, not a zero test on the difference: the engine
@@ -358,6 +367,38 @@ def test_each_derivative_image_is_computed_once(monkeypatch, diffusion_problem,
         calls = 0
         solve(prob, order)
         assert calls == want, prob.name
+
+
+def test_solve_takes_each_derivative_one_step_from_the_last(monkeypatch, wave_problem,
+                                                           delay_problem):
+    # the engine follows the check's rule: klein-gordon's Dx^4(psi^2) is two
+    # single steps past its Dx^2(psi^2), four per coefficient of psi^2 (not
+    # 2 + 4), and burgers-delay's Dx^2(psi) one step past its Dx(psi)
+    steps = [0]
+    diff_x = Expr.diff_x
+
+    def counting(self, n=1):
+        steps[0] += n
+        return diff_x(self, n)
+
+    monkeypatch.setattr(Expr, "diff_x", counting)
+    for prob, order, want in ((wave_problem, 12, 44), (delay_problem, 10, 20)):
+        _drop_engine()
+        steps[0] = 0
+        solve(prob, order)
+        assert steps[0] == want, prob.name
+
+
+def test_engine_keeps_one_image_per_operator_and_order(wave_problem):
+    # klein-gordon reads psi, psi^2 and its Dx^1..Dx^4, and the rhs itself:
+    # one table entry each, keyed (inner, n)
+    _drop_engine()
+    solve(wave_problem, 8)
+    rhs = wave_problem.rhs
+    inner = rhs.terms[0].factors[0].inner
+    assert inner == rhs.terms[1].factors[0].inner
+    want = {(rhs, 0), (None, 0)} | {(inner, n) for n in range(5)}
+    assert set(solver._last_engine[0]._images) == want
 
 
 def test_square_stream_equals_the_product_stream(wave_problem):
