@@ -8,7 +8,8 @@ Subcommands:
   eval       evaluate at a single point
 
 Exit codes: 0 success, 1 numeric evaluation failure or residual FAIL,
-2 bad input (syntax, usage, truncation below m-1), 3 solver rejection
+2 bad input (syntax, usage, a bad --param in any subcommand, truncation
+below m-1), 3 solver rejection
 (incompatible time coefficient, --linear on a nonlinear problem,
 residual below m).
 
@@ -129,7 +130,8 @@ def _override_alpha(prob: Problem, text: str) -> Problem:
 
 # -- staged execution -------------------------------------------------------------
 
-def _load_stage(args) -> tuple[Problem, int]:
+def _load_stage(args) -> tuple[Problem, int, dict[str, float]]:
+    """The problem, its truncation order and its checked --param bindings."""
     try:
         prob = parse_problem_file(args.file)
         if getattr(args, "alpha", None):
@@ -143,7 +145,7 @@ def _load_stage(args) -> tuple[Problem, int]:
             f"truncation order {order} is below m-1 = {prob.m - 1}; "
             f"the first {prob.m} coefficients are the initial conditions",
         )
-    return prob, order
+    return prob, order, _parse_params(args.param, prob)
 
 
 def _solve_stage(prob: Problem, order: int, linear: bool = False) -> SeriesSolution:
@@ -165,7 +167,7 @@ def _solve_stage(prob: Problem, order: int, linear: bool = False) -> SeriesSolut
 # -- subcommands ------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    prob, order = _load_stage(args)
+    prob, order, _ = _load_stage(args)
     sol = _solve_stage(prob, order, linear=args.linear)
     if args.format == "pretty":
         print(
@@ -178,14 +180,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    prob, order = _load_stage(args)
+    prob, order, _ = _load_stage(args)
     sol = _solve_stage(prob, order, linear=args.linear)
     sys.stdout.write(export(sol, args.format))
     return 0
 
 
 def _cmd_residual(args) -> int:
-    prob, order = _load_stage(args)
+    prob, order, _ = _load_stage(args)
     k = args.corrupt_order
     if k is not None and not (0 <= k <= order):
         raise _Exit(2, f"--corrupt-order {k} outside 0..{order}")
@@ -206,14 +208,13 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    prob, order = _load_stage(args)
+    prob, order, params = _load_stage(args)
     reference = None
     if args.exact:
         if prob.exact is None:
             raise _Exit(2, f"'{args.file}' declares no exact solution")
         reference = prob.exact
     xs, ts = _parse_grid(args.grid)
-    params = _parse_params(args.param, prob)
     sol = _solve_stage(prob, order)
     try:
         grid = EvalGrid(xs=xs, ts=ts, params=params)
@@ -226,8 +227,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    prob, order = _load_stage(args)
-    params = _parse_params(args.param, prob)
+    prob, order, params = _load_stage(args)
     for flag, v in (("x", args.x), ("t", args.t)):
         if not math.isfinite(v):
             raise _Exit(2, f"{flag} must be finite, got {v}")

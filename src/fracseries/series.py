@@ -16,6 +16,11 @@ Gamma(1+j*a)) on each pair i+j = k; the weights stay symbolic through the
 Scalar layer (and collapse to binomial coefficients at alpha = 1). The
 weight is symmetric in i and j, so a square takes each pair i < j once at
 twice its weight.
+
+Each exact constant of the grid is formed once per process: Gamma(1+k*a)
+and its inverse in one table keyed by (alpha, k), so a weight is two
+monomial products with no division, and the time-scale factor b^(k*a) of
+scale_args in a table keyed by (b, k*a). Both derivations read them.
 """
 
 from __future__ import annotations
@@ -28,12 +33,27 @@ from .errors import AlphaMismatch, FracError
 from .expr import Expr
 from .scalar import Scalar
 
-_WEIGHT_CACHE_SIZE = 4096  # all (i, j) pairs of one alpha up to K = 125
+# bounds each table below: the weights hold all (i, j) pairs of one alpha up
+# to K = 125, the Gamma factors and time-scale powers one entry per index
+_WEIGHT_CACHE_SIZE = 4096
 
 
 def gamma_factor(alpha: Fraction, k: int) -> Scalar:
     """Gamma(1 + k*alpha) as an exact Scalar."""
     return Scalar.gamma(1 + k * alpha)
+
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _gamma_pair(alpha: Fraction, k: int) -> tuple[Scalar, Scalar]:
+    """gamma_factor(alpha, k) and its inverse, formed once."""
+    g = gamma_factor(alpha, k)
+    return g, Scalar.one() / g
+
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _time_power(b: Fraction, e: Fraction) -> Scalar:
+    """b^e, the time-scale factor b^(k*alpha) of a coefficient."""
+    return Scalar.rational_power(b, e)
 
 
 def _mul_weight(alpha: Fraction, i: int, j: int) -> Scalar:
@@ -48,7 +68,7 @@ def _square_weight(alpha: Fraction, i: int, j: int) -> Scalar:
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def _weight(alpha: Fraction, lo: int, hi: int) -> Scalar:
-    return gamma_factor(alpha, lo + hi) / (gamma_factor(alpha, lo) * gamma_factor(alpha, hi))
+    return _gamma_pair(alpha, lo + hi)[0] * (_gamma_pair(alpha, lo)[1] * _gamma_pair(alpha, hi)[1])
 
 
 class FracSeries:
@@ -175,7 +195,7 @@ class FracSeries:
             raise FracError("argument scales must be positive rationals")
         out = {}
         for k, e in self.coeffs:
-            out[k] = e.scale_x(a).scalar_mul(Scalar.rational_power(b, k * self.alpha))
+            out[k] = e.scale_x(a).scalar_mul(_time_power(b, k * self.alpha))
         return FracSeries(self.alpha, self.trunc, out)
 
     def caputo_shift(self, n: int) -> "FracSeries":

@@ -42,7 +42,7 @@ from .errors import NotLinear, ProblemError, TimeCoefficientIncompatible
 from .expr import Expr
 from .problems import Problem, RhsOperator, RhsTerm
 from .scalar import Scalar
-from .series import FracSeries, _mul_weight, _square_weight
+from .series import FracSeries, _mul_weight, _square_weight, _time_power
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def _scaled(s: _Stream, xscale: Fraction, tscale: Fraction, alpha: Fraction) -> 
         e = s[j]
         if e.is_zero():
             return e
-        return e.scale_x(xscale).scalar_mul(Scalar.rational_power(tscale, j * alpha))
+        return e.scale_x(xscale).scalar_mul(_time_power(tscale, j * alpha))
 
     return _Stream(coeff)
 

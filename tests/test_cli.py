@@ -456,6 +456,13 @@ _KG_PARAMS = ("--param", "nu=1", "--param", "omega=1", "--param", "lambda=0.5")
     pytest.param(("kolmogorov", "table", "--grid", "x=0:1:0.5 t=0:1:0.5",
                   "--param", "nu=-inf"), "--param nu: '-inf' is not finite",
                  id="table-param-unused"),
+    pytest.param(("kolmogorov", "coeffs", "--param", "nu=abc"),
+                 "--param nu: 'abc' is not a number", id="coeffs-param-text"),
+    pytest.param(("kolmogorov", "solve", "--param", "nu=inf"),
+                 "--param nu: 'inf' is not finite", id="solve-param-inf"),
+    pytest.param(("klein_gordon", "residual", "--param", "lamda=1"),
+                 "--param lamda: not a parameter of klein-gordon "
+                 "(declared: nu, omega, lambda)", id="residual-param-undeclared"),
     pytest.param(("kolmogorov", "table", "--grid", "x=1e400 t=0"),
                  "grid values must lie in the double range in 'x=1e400 t=0'",
                  id="table-grid-x-huge"),

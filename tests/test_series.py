@@ -16,7 +16,14 @@ import pytest
 from fracseries.errors import AlphaMismatch
 from fracseries.expr import Expr
 from fracseries.scalar import Scalar
-from fracseries.series import FracSeries, _mul_weight, gamma_factor
+from fracseries.series import (
+    FracSeries,
+    _gamma_pair,
+    _mul_weight,
+    _square_weight,
+    _weight,
+    gamma_factor,
+)
 from fracseries.solver import solve
 
 
@@ -82,6 +89,18 @@ def test_mul_weight_scalars_are_exact():
     for a in _ALPHAS:
         for i, j in ((0, 3), (1, 2), (2, 5)):
             assert _mul_weight(a, i, j) is _mul_weight(a, j, i)
+    # a weight is G(i+j) * (1/G(i) * 1/G(j)) from the (alpha, k) table; it
+    # must be the quotient of fresh Gamma factors structurally, at every
+    # alpha in turn (prime and composite denominators), and a square's
+    # off-diagonal pair twice it
+    _weight.cache_clear()
+    _gamma_pair.cache_clear()
+    for a in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(3, 5)):
+        for i in range(13):
+            for j in range(13):
+                want = gamma_factor(a, i + j) / (gamma_factor(a, i) * gamma_factor(a, j))
+                assert _mul_weight(a, i, j) == want, (a, i, j)
+                assert _square_weight(a, i, j) == (want if i == j else want * 2), (a, i, j)
 
 
 def test_mul_commutative_and_associative():

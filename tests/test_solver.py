@@ -1,5 +1,6 @@
 """Coefficient recurrence: hand oracles, path agreement, verification."""
 
+import collections
 import dataclasses
 import gc
 import math
@@ -20,7 +21,7 @@ from fracseries.expr import Expr
 from fracseries.problems import Problem, RhsFactor, RhsOperator, RhsTerm
 from fracseries.scalar import Scalar
 from fracseries.series import FracSeries
-from fracseries import solver
+from fracseries import series, solver
 from fracseries.solver import (
     SeriesSolution,
     _drop_engine,
@@ -387,6 +388,25 @@ def test_solve_takes_each_derivative_one_step_from_the_last(monkeypatch, wave_pr
         steps[0] = 0
         solve(prob, order)
         assert steps[0] == want, prob.name
+
+
+def test_solve_forms_each_gamma_factor_once(monkeypatch, delay_problem):
+    # the weights read Gamma(1+k*alpha) and its inverse from one table keyed
+    # by (alpha, k), so a solve forms each factor at most once, however many
+    # product pairs read it
+    calls = collections.Counter()
+    gamma_factor = series.gamma_factor
+
+    def counting(alpha, k):
+        calls[k] += 1
+        return gamma_factor(alpha, k)
+
+    monkeypatch.setattr(series, "gamma_factor", counting)
+    series._weight.cache_clear()
+    series._gamma_pair.cache_clear()
+    _drop_engine()
+    solve(dataclasses.replace(delay_problem, alpha=Fraction(2, 5)), 8)
+    assert calls and max(calls.values()) == 1, calls
 
 
 def test_engine_keeps_one_image_per_operator_and_order(wave_problem):
