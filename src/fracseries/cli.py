@@ -8,8 +8,8 @@ Subcommands:
   eval       evaluate at a single point
 
 Exit codes: 0 success, 1 numeric evaluation failure or residual FAIL,
-2 bad input (syntax, usage, a bad --param in any subcommand, truncation
-below m-1), 3 solver rejection
+2 bad input (syntax, usage, a bad or repeated --param in any subcommand,
+truncation below m-1), 3 solver rejection
 (incompatible time coefficient, --linear on a nonlinear problem,
 residual below m).
 
@@ -58,13 +58,16 @@ class _Exit(Exception):
 # -- argument helpers -------------------------------------------------------------
 
 def _parse_params(pairs: Optional[Sequence[str]], prob: Problem) -> dict[str, float]:
-    """--param bindings: every value is checked first, then every name against prob."""
+    """--param bindings: every value is checked first, then that each name is
+    bound once and declared by prob."""
     out: dict[str, float] = {}
+    names = []
     for pair in pairs or ():
         name, sep, val = pair.partition("=")
         name = name.strip()
         if not sep or not name:
             raise _Exit(2, f"--param expects name=value, got '{pair}'")
+        names.append(name)
         try:
             out[name] = float(val)
         except ValueError:
@@ -72,6 +75,8 @@ def _parse_params(pairs: Optional[Sequence[str]], prob: Problem) -> dict[str, fl
         if not math.isfinite(out[name]):
             raise _Exit(2, f"--param {name}: '{val}' is not finite")
     for name in out:
+        if names.count(name) > 1:
+            raise _Exit(2, f"--param {name}: bound more than once")
         if name not in prob.params:
             declared = ", ".join(prob.params) or "none"
             raise _Exit(2, f"--param {name}: not a parameter of {prob.name} "
@@ -103,6 +108,8 @@ def _parse_grid(spec: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
         name, sep, rng = part.partition("=")
         if not sep or name not in ("x", "t"):
             raise _Exit(2, f"bad grid component '{part}' (want x=... or t=...)")
+        if name in axes:
+            raise _Exit(2, f"grid gives {name} twice in '{spec}'")
         axes[name] = _parse_range(rng, name)
     if len(axes) != 2:
         raise _Exit(2, "grid must specify both x=a:b:step and t=a:b:step")

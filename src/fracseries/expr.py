@@ -13,7 +13,11 @@ gamma(3/4) as 2^(1/2)*gamma(1/2)^2/gamma(1/4), so
 Expr.const(gamma(1/4)*gamma(3/4) - 2^(1/2)*gamma(1/2)^2).is_zero() holds.
 Prime denominators have no relation applied: gamma(1/3)*gamma(2/3) and
 2*3^(-1/2)*gamma(1/2)^2 are both 2pi/sqrt(3) but differ structurally, so
-their difference is not zero here. probe_equal and probe_zero compare
+their difference is not zero here. sum_products forms a Gamma-weighted
+Cauchy sum with each (frequency, x-degree) slot summed in one pass. The
+series engine and the residual check share it, so a PASS verdict proves the
+recurrence, not this arithmetic, which tests check on their own.
+probe_equal and probe_zero compare
 numerically at random points. They are helpers of this module, not package
 exports, and no verdict or acceptance test uses them.
 
@@ -27,11 +31,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import EvalError, ExprError
-from .scalar import Scalar, ScalarLike, power_by_squaring
+from .scalar import ProductSum, Scalar, ScalarLike, power_by_squaring
 
 ExprLike = Union["Expr", Scalar, int, Fraction]
 FloatTerm = tuple[tuple[float, ...], float]
@@ -328,6 +333,29 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({self.to_source()!r})"
+
+
+def sum_products(triples) -> Expr:
+    """The sum of (a * b).scalar_mul(w) over (a, b, w) triples. The pair
+    products of a triple are summed per (frequency, x-degree) slot, scaled by
+    w into that slot of the result, and each slot of the result is reduced
+    once (ProductSum)."""
+    slots = defaultdict(lambda: defaultdict(ProductSum))
+    for a, b, w in triples:
+        pairs = defaultdict(lambda: defaultdict(ProductSum))
+        for mu_a, pa in a.terms:
+            for mu_b, pb in b.terms:
+                poly = pairs[mu_a + mu_b]
+                for i, ca in enumerate(pa):
+                    for j, cb in enumerate(pb):
+                        if not (ca.is_zero() or cb.is_zero()):
+                            poly[i + j].add(ca, cb)
+        for mu, poly in pairs.items():
+            out = slots[mu]
+            for n, part in poly.items():
+                out[n].add_scaled(part, w)
+    return Expr._make({mu: [poly[n].value() if n in poly else Scalar.zero()
+                            for n in range(max(poly) + 1)] for mu, poly in slots.items()})
 
 
 def _scaled_x_source(mu: Scalar) -> str:

@@ -287,8 +287,10 @@ def _sum_add(a, da: int, b, db: int) -> tuple[dict[int, int], int]:
     return out, d
 
 
-def _sum_mul(a, da: int, b, db: int) -> tuple[dict[int, int], int]:
-    acc: dict[int, int] = {}
+def _sum_mul(a, da: int, b, db: int, acc: dict[int, int] | None = None) -> tuple[dict[int, int], int]:
+    """a*b, added into acc when one is given."""
+    if acc is None:
+        acc = {}
     get = acc.get
     for ka, ca in a:
         if not ka:  # a constant times each monomial of b
@@ -735,6 +737,41 @@ def _monomial(k: int, c: Coeff) -> Scalar:
     if not c:
         return _ZERO_SCALAR
     return Scalar(((k, c.numerator),), c.denominator, _ONE_SUM, 1, _raw=True)
+
+
+class ProductSum:
+    """A sum of products of Scalars. Products of unit-denominator factors go into
+    int accumulators, one per denominator, that value() scales to their lcm and
+    reduces once; any other product is added as a Scalar, in the order it came."""
+
+    __slots__ = ("_sums", "_rest")
+
+    def __init__(self):
+        self._sums: dict[int, dict[int, int]] = {}
+        self._rest = _ZERO_SCALAR
+
+    def add(self, a: Scalar, b: Scalar) -> None:
+        """self += a*b"""
+        if a.den is _ONE_SUM and b.den is _ONE_SUM:
+            _sum_mul(a.num, a.nd, b.num, b.nd, self._sums.setdefault(a.nd * b.nd, {}))
+        else:
+            self._rest += a * b
+
+    def add_scaled(self, part: "ProductSum", w: Scalar) -> None:
+        """self += part*w"""
+        if w.den is not _ONE_SUM:
+            self._rest += part.value() * w
+            return
+        for d, acc in part._sums.items():
+            _sum_mul(w.num, w.nd, acc.items(), d, self._sums.setdefault(d * w.nd, {}))
+        self._rest += part._rest * w
+
+    def value(self) -> Scalar:
+        d = math.lcm(*self._sums)
+        acc: dict[int, int] = {}
+        for dk, part in self._sums.items():
+            _sum_mul(((0, d // dk),), 1, part.items(), 1, acc)
+        return Scalar._make(acc, d) + self._rest
 
 
 def _decode_sum(monos, d: int) -> tuple:

@@ -15,7 +15,8 @@ a product picks up the exact weight Gamma(1+k*a) / (Gamma(1+i*a) *
 Gamma(1+j*a)) on each pair i+j = k; the weights stay symbolic through the
 Scalar layer (and collapse to binomial coefficients at alpha = 1). The
 weight is symmetric in i and j, so a square takes each pair i < j once at
-twice its weight.
+twice its weight. Each product coefficient is one sum_products call, which
+sums each of its (frequency, x-degree) slots in one pass.
 
 Each exact constant of the grid is formed once per process: Gamma(1+k*a)
 and its inverse in one table keyed by (alpha, k), so a weight is two
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import AlphaMismatch, FracError
-from .expr import Expr
+from .expr import Expr, sum_products
 from .scalar import Scalar
 
 # bounds each table below: the weights hold all (i, j) pairs of one alpha up
@@ -133,32 +134,22 @@ class FracSeries:
 
     def mul(self, other: "FracSeries", kmax: int) -> "FracSeries":
         self._check_alpha(other)
-        out: dict[int, Expr] = {}
-        for i, a in self.coeffs:
-            if i > kmax:
-                continue
-            for j, b in other.coeffs:
-                k = i + j
-                if k > kmax:
-                    continue
-                term = (a * b).scalar_mul(_mul_weight(self.alpha, i, j))
-                out[k] = out.get(k, Expr.zero()) + term
-        return FracSeries(self.alpha, kmax, out)
+        pairs = ((i, a, j, b) for i, a in self.coeffs for j, b in other.coeffs)
+        return self._cauchy(pairs, _mul_weight, kmax)
 
     def square(self, kmax: int) -> "FracSeries":
         """self.mul(self, kmax), one symmetric product over the pairs i <= j."""
-        out: dict[int, Expr] = {}
-        coeffs = self.coeffs
-        for n, (i, a) in enumerate(coeffs):
-            if 2 * i > kmax:
-                break
-            for j, b in coeffs[n:]:
-                k = i + j
-                if k > kmax:
-                    break
-                term = (a * b).scalar_mul(_square_weight(self.alpha, i, j))
-                out[k] = out.get(k, Expr.zero()) + term
-        return FracSeries(self.alpha, kmax, out)
+        cs = self.coeffs
+        return self._cauchy(((i, a, j, b) for n, (i, a) in enumerate(cs) for j, b in cs[n:]),
+                            _square_weight, kmax)
+
+    def _cauchy(self, pairs, weight, kmax: int) -> "FracSeries":
+        """Coefficients 0..kmax of sum weight(alpha, i, j)*a*b over pairs (i, a, j, b)."""
+        triples: dict[int, list] = {}
+        for i, a, j, b in pairs:
+            if i + j <= kmax:
+                triples.setdefault(i + j, []).append((a, b, weight(self.alpha, i, j)))
+        return FracSeries(self.alpha, kmax, {k: sum_products(t) for k, t in triples.items()})
 
     def pow(self, p: int, kmax: int) -> "FracSeries":
         if p < 1:

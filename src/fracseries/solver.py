@@ -23,7 +23,9 @@ Verification is independent of the construction: residual_series recomputes
 D_t^(m*alpha) S - R[S] from scratch with the batch operator apply_rhs and
 checks that its low-order coefficients are structurally zero. apply_rhs
 shares work only within one call: each image is computed once, and a square
-is one symmetric product.
+is one symmetric product. The engine and the check share the Scalar/Expr
+arithmetic (sum_products sums each Cauchy coefficient one slot at a time, in
+one pass), so a PASS proves the recurrence, not that arithmetic.
 residual_orders reuses its last verdicts only for an equal problem, alpha and
 coefficient prefix at the kept order or below, which is sound because verdict
 j reads nothing but m, the rhs, alpha and coefficients 0..j+m. That record
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotLinear, ProblemError, TimeCoefficientIncompatible
-from .expr import Expr
+from .expr import Expr, sum_products
 from .problems import Problem, RhsOperator, RhsTerm
 from .scalar import Scalar
 from .series import FracSeries, _mul_weight, _square_weight, _time_power
@@ -177,34 +179,17 @@ class _Stream:
         return self.coeffs[j]
 
 
-def _product(alpha: Fraction, a: _Stream, b: _Stream) -> _Stream:
-    """Online Cauchy product, summed in the order FracSeries.mul sums it."""
+def _product(alpha: Fraction, a: _Stream, b: _Stream | None = None) -> _Stream:
+    """Online Cauchy product of a and b, summed in the order FracSeries.mul
+    sums it; without b, the square of a, in the order FracSeries.square sums it."""
+    square = b is None
+    weight, b = (_square_weight, a) if square else (_mul_weight, b)
 
     def coeff(j: int) -> Expr:
         a[j]
-        out = Expr.zero()
-        for i in a.nonzero:
-            if i > j:
-                break  # a is shared and already ahead of this product
-            if not b[j - i].is_zero():
-                out = out + (a.coeffs[i] * b[j - i]).scalar_mul(_mul_weight(alpha, i, j - i))
-        return out
-
-    return _Stream(coeff)
-
-
-def _square(alpha: Fraction, a: _Stream) -> _Stream:
-    """Online square, summed in the order FracSeries.square sums it."""
-
-    def coeff(j: int) -> Expr:
-        a[j]
-        out = Expr.zero()
-        for i in a.nonzero:
-            if 2 * i > j:
-                break
-            if not a[j - i].is_zero():
-                out = out + (a.coeffs[i] * a[j - i]).scalar_mul(_square_weight(alpha, i, j - i))
-        return out
+        top = j // 2 if square else j  # a may be shared and already ahead of this product
+        return sum_products([(a.coeffs[i], b[j - i], weight(alpha, i, j - i))
+                             for i in a.nonzero if i <= top and not b[j - i].is_zero()])
 
     return _Stream(coeff)
 
@@ -231,7 +216,7 @@ def _term_stream(term: RhsTerm, image, alpha: Fraction) -> _Stream:
             base = image(f.inner, f.n)
             if f.scaled:
                 base = _scaled(base, f.xscale, f.tscale, alpha)
-            p = _square(alpha, base) if f.power > 1 else base
+            p = _product(alpha, base) if f.power > 1 else base
             for _ in range(f.power - 2):
                 p = _product(alpha, p, base)
             acc = p if acc is None else _product(alpha, acc, p)

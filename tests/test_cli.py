@@ -463,6 +463,12 @@ _KG_PARAMS = ("--param", "nu=1", "--param", "omega=1", "--param", "lambda=0.5")
     pytest.param(("klein_gordon", "residual", "--param", "lamda=1"),
                  "--param lamda: not a parameter of klein-gordon "
                  "(declared: nu, omega, lambda)", id="residual-param-undeclared"),
+    pytest.param(("klein_gordon", "eval", "-x", "1", "-t", "0.5", "--param", "nu=1",
+                  "--param", "nu=2"), "--param nu: bound more than once", id="eval-param-twice"),
+    pytest.param(("kolmogorov", "coeffs", "--param", "nu=1", "--param", "nu=1"),
+                 "--param nu: bound more than once", id="coeffs-param-twice-same-value"),
+    pytest.param(("klein_gordon", "residual", "--param", "omega=1", "--param", " omega=2"),
+                 "--param omega: bound more than once", id="residual-param-twice-spaced"),
     pytest.param(("kolmogorov", "table", "--grid", "x=1e400 t=0"),
                  "grid values must lie in the double range in 'x=1e400 t=0'",
                  id="table-grid-x-huge"),
@@ -490,8 +496,10 @@ def test_non_finite_flag_is_2_before_solving(capsys, problems_dir, argv, message
     (("--grid", "x=0:1:1"), "grid must specify both x=a:b:step and t=a:b:step"),
     (("--grid", "x=0:1:1 t=0:1:1", "--param", "nu=1"),
      "--param nu: not a parameter of kolmogorov (declared: none)"),
+    (("--grid", "x=0:1:0.5 t=0:1:1 x=5"), "grid gives x twice in 'x=0:1:0.5 t=0:1:1 x=5'"),
+    (("--grid", "t=0 x=0 t=0"), "grid gives t twice in 't=0 x=0 t=0'"),
 ], ids=["param-text", "range-two-parts", "range-text", "range-zero-division", "range-step-zero",
-        "grid-component", "grid-no-t", "param-undeclared"])
+        "grid-component", "grid-no-t", "param-undeclared", "grid-x-twice", "grid-t-twice"])
 def test_malformed_table_flag_is_2_before_solving(capsys, problems_dir, argv, message):
     code, out, err = run(capsys, "table", _fx(problems_dir, "kolmogorov.frac"), "-K", "4", *argv)
     assert code == 2 and out == ""

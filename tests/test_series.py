@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from fracseries.errors import AlphaMismatch
-from fracseries.expr import Expr
-from fracseries.scalar import Scalar
+from fracseries.expr import Expr, sum_products
+from fracseries.scalar import Scalar, _decode_sum
 from fracseries.series import (
     FracSeries,
     _gamma_pair,
@@ -231,6 +231,82 @@ def test_square_equals_mul_by_itself(wave_problem):
         assert s.square(kmax) == s.mul(s, kmax), (alpha, trunc, kmax)
     s = FracSeries(Fraction(2, 7), 3, {0: wave[0], 2: wave[1], 3: Expr.x()})
     assert s.square(4) == s.mul(s, 4) and [k for k, _ in s.square(4).coeffs] == [0, 2, 3, 4]
+
+
+def _one_by_one(triples):
+    """The sum sum_products replaces: one Expr product, scaling and addition per triple."""
+    out = Expr.zero()
+    for a, b, w in triples:
+        out = out + (a * b).scalar_mul(w)
+    return out
+
+
+def _at_nu(s, nu):
+    """s with the parameter nu bound to the rational nu, built with Scalar
+    arithmetic: exact, and canonical once no sum is left in the denominator."""
+    def part(monos, d):
+        total = Scalar.zero()
+        for sig, c in _decode_sum(monos, d):
+            term = Scalar.from_fraction(c)
+            for (kind, arg), e in sig:
+                if (kind, arg) == ("p", "nu"):
+                    term = term * Scalar.rational_power(nu, e)
+                elif kind == "p":
+                    term = term * Scalar.param(arg) ** e
+                elif kind == "g":
+                    term = term * Scalar.gamma(arg) ** e
+                else:
+                    term = term * Scalar.rational_power(arg, e)
+            total = total + term
+        return total
+    return part(s.num, s.nd) / part(s.den, s.dd)
+
+
+def test_sum_products_equals_the_one_by_one_sum():
+    # seeded triples: Gamma weights at alpha 2/7 and 3/4, prime atoms and
+    # parameters with fractional exponents, zeros inside the polynomials,
+    # frequencies shared and distinct, and coefficients and weights over 1 + nu
+    rng = random.Random(313)
+    nu = Scalar.param("nu")
+    over = Scalar.one() / (1 + nu)
+    atoms = [Scalar.one(), Scalar.rational_power(2, Fraction(1, 2)),
+             Scalar.rational_power(3, Fraction(2, 3)), nu ** Fraction(1, 2),
+             nu ** Fraction(-1, 3), Scalar.param("omega") ** Fraction(3, 2), over]
+    freqs = [Scalar.zero(), Scalar.one(), Scalar.from_fraction(-1), nu, Scalar.from_fraction(Fraction(1, 2))]
+
+    def coeff():
+        if rng.random() < 0.2:
+            return Scalar.zero()
+        return sum((rng.choice(atoms) * Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                    for _ in range(rng.randrange(1, 3))), Scalar.zero())
+
+    def expr():
+        return sum((Expr.poly([coeff() for _ in range(rng.randrange(1, 4))])
+                    * Expr.exponential(rng.choice(freqs)) for _ in range(rng.randrange(1, 3))),
+                   Expr.zero())
+
+    structural = by_value = 0
+    for _ in range(60):
+        triples = []
+        for _ in range(rng.randrange(1, 5)):
+            alpha = rng.choice((Fraction(2, 7), Fraction(3, 4)))
+            weight = rng.choice((_mul_weight, _square_weight))
+            w = weight(alpha, rng.randrange(0, 7), rng.randrange(0, 7))
+            triples.append((expr(), expr(), w * over if rng.random() < 0.15 else w))
+        got, want = sum_products(triples), _one_by_one(triples)
+        assert [mu for mu, _ in got.terms] == [mu for mu, _ in want.terms]
+        for (_, pg), (_, pw) in zip(got.terms, want.terms):
+            assert len(pg) == len(pw)
+            for g, w in zip(pg, pw):
+                if len(g.den) == 1 and len(w.den) == 1:
+                    assert g == w
+                    structural += 1
+                else:
+                    # a quotient of sums: its form may depend on the order of the sum
+                    for value in (Fraction(1, 3), Fraction(2), Fraction(5, 7)):
+                        assert _at_nu(g, value) == _at_nu(w, value)
+                    by_value += 1
+    assert structural > 250 and by_value > 200, (structural, by_value)
 
 
 def test_add_requires_matching_alpha():
