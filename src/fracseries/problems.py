@@ -134,13 +134,17 @@ class Problem:
             )
 
     def param_floats(self, overrides: Optional[Mapping[str, float]] = None) -> dict[str, float]:
-        """Numeric parameter bindings: file defaults overlaid by overrides."""
+        """Numeric parameter bindings: file defaults overlaid by overrides. A
+        value that is not finite is an EvalError naming its parameter."""
         out: dict[str, float] = {}
         for name, val in self.params.items():
             if val is not None:
                 out[name] = val.eval({})
         if overrides:
             out.update(overrides)
+        for name, v in out.items():
+            if not math.isfinite(v):
+                raise EvalError(f"parameter '{name}' = {v} is not finite")
         return out
 
 

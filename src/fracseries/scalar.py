@@ -31,7 +31,13 @@ carries the prime atoms' integer parts out as an int factor; a sum adds
 ints after one lcm rescale; hashing, equality and sorting compare ints.
 Sums and products of Scalars with denominator 1 skip the quotient
 normalization, and adding zero, multiplying by zero and multiplying by one
-return an operand (or the zero Scalar) without arithmetic.
+return an operand (or the zero Scalar) without arithmetic. Each id is
+decoded once, on first use: its atoms are sorted once into their canonical
+order, and from that order come its decoded signature, its sort key, its
+printed text (gamma(1/7)^2*2^(3/7)) and the factors eval multiplies by (a
+Gamma or prime atom's power as one float, a parameter as (name, n, d), bound
+at each call). A Scalar keeps its numerator's pairs in the canonical order,
+sorted on first eval or print, and its printed text.
 
 Ids depend on the order in which a process first met its signatures, so
 nothing that must not depend on it reads them. The canonical order of
@@ -39,8 +45,10 @@ monomials sorts their decoded signatures, tuples of (atom, exponent) pairs
 with an integral exponent an int and any other a Fraction: it sets the
 printed order, the order of float operations in eval, the sign
 leading_coeff_negative reports, and which denominator monomial is scaled
-to 1. A Scalar pickles as its decoded sums, so a pickle is independent of
-the process that wrote it.
+to 1. What is kept per id depends only on the signature, and what a Scalar
+keeps only on its sums, so neither depends on the ids. A Scalar pickles as
+its decoded sums, without what it keeps, so a pickle is independent of the
+process that wrote it.
 
 Gamma atoms follow Gauss's multiplication formula (DLMF 5.5.6),
 prod_{j<n} Gamma(z + j/n) = (2pi)^((n-1)/2) n^(1/2 - n z) Gamma(n z), which
@@ -139,13 +147,16 @@ def _demote(q: Coeff) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
-# Atoms by index, with the prime of each prime atom (0 for the other kinds)
-# and a sort key (see _sort_key). Process-wide and never pruned, as stored
-# signatures name atoms by index.
+# Atoms by index, with the prime of each prime atom (0 for the other kinds),
+# a sort key (see _sort_key), the printed text and the float value of a Gamma
+# or prime atom (None for a parameter). Process-wide and never pruned, as
+# stored signatures name atoms by index.
 _ATOMS: list[Atom] = []
 _ATOM_IDS: dict[Atom, int] = {}
 _PRIMES: list[int] = []
 _ATOM_KEYS: list[tuple] = []
+_ATOM_TEXTS: list[str] = []
+_ATOM_FLOATS: list[float | None] = []
 # Held to add an atom or a signature; lookups need none, as an index enters its dict last.
 _INTERN_LOCK = threading.Lock()
 
@@ -159,6 +170,9 @@ def _atom_id(atom: Atom) -> int:
                 _ATOMS.append(atom)
                 _PRIMES.append(atom[1] if atom[0] == "r" else 0)
                 _ATOM_KEYS.append(("g", float(atom[1]), atom[1]) if atom[0] == "g" else atom)
+                _ATOM_TEXTS.append(f"gamma({atom[1]})" if atom[0] == "g" else str(atom[1]))
+                _ATOM_FLOATS.append(gamma_real(float(atom[1])) if atom[0] == "g"
+                                    else float(atom[1]) if atom[0] == "r" else None)
                 i = _ATOM_IDS[atom] = len(_ATOMS) - 1
     return i
 
@@ -211,13 +225,16 @@ def _rational(n: int, d: int) -> Fraction:
     return Fraction(n, d)
 
 
-def _atom_order(k: int) -> list[tuple[int, int, int]]:
+# The caches below hold one entry per id they have seen, so they grow with
+# _SIG_KEYS and no faster. The atom order is sorted once per id, and the
+# decoded signature, the sort key, the float factors and the printed text are
+# each formed from it once.
+
+@functools.cache
+def _atom_order(k: int) -> tuple[tuple[int, int, int], ...]:
     """The key triples of signature k in the order of their atoms."""
-    return sorted(_SIG_KEYS[k], key=lambda t: _ATOM_KEYS[t[0]])
+    return tuple(sorted(_SIG_KEYS[k], key=lambda t: _ATOM_KEYS[t[0]]))
 
-
-# The two caches below hold one entry per id they have seen, so they grow
-# with _SIG_KEYS and no faster.
 
 @functools.cache
 def _decoded(k: int) -> Sig:
@@ -241,6 +258,21 @@ def _sort_key(k: int) -> tuple:
 def _canonical(item: tuple[int, int]) -> tuple:
     """Sort key of a stored (id, numerator) pair in the canonical order."""
     return _sort_key(item[0])
+
+
+@functools.cache
+def _factors(k: int) -> tuple:
+    """What eval multiplies a monomial of signature k by, in the order of its
+    atoms: a Gamma or prime atom's power as a float, a parameter as (name, n, d),
+    bound at each evaluation. n / d rounds once, as float(Fraction(n, d)) does."""
+    return tuple((_ATOMS[a][1], n, d) if _ATOM_FLOATS[a] is None else _ATOM_FLOATS[a] ** (n / d)
+                 for a, n, d in _atom_order(k))
+
+
+@functools.cache
+def _sig_source(k: int) -> str:
+    """Signature k as printed, its atom powers joined by '*' ('' for id 0)."""
+    return "*".join(_ATOM_TEXTS[a] + _exp_source(n, d) for a, n, d in _atom_order(k))
 
 
 # The product is symmetric, so _sum_mul passes each pair in order and one entry serves
@@ -454,10 +486,11 @@ _ONE_SUM: tuple = ((0, 1),)
 class Scalar:
     """Exact constant: quotient of monomial sums. Immutable.
 
-    num/nd over den/dd in the stored form of the module docstring.
+    num/nd over den/dd in the stored form of the module docstring; the
+    canonical order of num and the printed text are kept on first use.
     """
 
-    __slots__ = ("num", "nd", "den", "dd", "_src")
+    __slots__ = ("num", "nd", "den", "dd", "_src", "_order")
 
     def __init__(self, num, nd, den, dd, _raw: bool = False):
         if not _raw:
@@ -467,6 +500,13 @@ class Scalar:
         self.den = den
         self.dd = dd
         self._src = None
+        self._order = None
+
+    def _num_order(self):
+        """num's pairs in the canonical order."""
+        if self._order is None:
+            self._order = sorted(self.num, key=_canonical) if len(self.num) > 1 else self.num
+        return self._order
 
     def __reduce__(self):  # decoded, so a pickle does not depend on this process's ids
         return _rebuild, (_decode_sum(self.num, self.nd), _decode_sum(self.den, self.dd))
@@ -697,11 +737,13 @@ class Scalar:
     def eval(self, params: Mapping[str, float] | None = None) -> float:
         params = params or {}
         try:
-            nv = _eval_sum(self.num, self.nd, params)
-            dv = 1.0 if self.den is _ONE_SUM else _eval_sum(self.den, self.dd, params)
+            nv = _eval_sum(self._num_order(), self.nd, params)
+            if self.den is _ONE_SUM:
+                return nv
+            dv = _eval_sum(sorted(self.den, key=_canonical), self.dd, params)
         except OverflowError as exc:
             raise EvalError(f"overflow evaluating a scalar with a {self.bit_size()}-bit integer") from exc
-        exact = None if self.den is _ONE_SUM else _exact_sum(self.den, self.dd, params)
+        exact = _exact_sum(self.den, self.dd, params)
         if dv == 0.0 and exact:
             dv = float(exact)  # the float terms cancelled where the exact ones do not
             if dv == 0.0:
@@ -717,9 +759,9 @@ class Scalar:
     def to_source(self) -> str:
         if self._src is None:
             try:
-                src = _sum_source(self.num, self.nd)
+                src = _sum_source(self._num_order(), self.nd)
                 if self.den != _ONE_SUM:
-                    src = f"({src})/({_sum_source(self.den, self.dd)})"
+                    src = f"({src})/({_sum_source(sorted(self.den, key=_canonical), self.dd)})"
             except ValueError:  # an integer past sys.get_int_max_str_digits()
                 raise ScalarError(f"a {self.bit_size()}-bit integer is too large to print") from None
             self._src = src
@@ -793,33 +835,28 @@ def _rebuild(num, den) -> Scalar:
     return Scalar(num, nd, _ONE_SUM if den == _ONE_SUM else den, dd, _raw=True)
 
 
-def _eval_atom(atom: Atom, e: Fraction, params: Mapping[str, float]) -> float:
-    kind = atom[0]
-    if kind == "p":
-        name = atom[1]
-        if name not in params:
-            raise EvalError(f"unbound parameter '{name}'")
-        base = float(params[name])
-        if base < 0.0 and e.denominator != 1:
-            raise EvalError(f"parameter '{name}' = {base} under fractional power")
-        if base == 0.0 and e < 0:
-            raise EvalError(f"parameter '{name}' = 0 under negative power")
-        return base ** float(e)
-    if kind == "g":
-        return gamma_real(float(atom[1])) ** float(e)
-    return float(atom[1]) ** float(e)
+def _param_power(params: Mapping[str, float], name: str, n: int, d: int) -> float:
+    """The bound value of parameter name to the power n/d."""
+    if name not in params:
+        raise EvalError(f"unbound parameter '{name}'")
+    base = float(params[name])
+    if base < 0.0 and d != 1:
+        raise EvalError(f"parameter '{name}' = {base} under fractional power")
+    if base == 0.0 and n < 0:
+        raise EvalError(f"parameter '{name}' = 0 under negative power")
+    return base ** (n / d)
 
 
 def _eval_sum(monos, d: int, params: Mapping[str, float]) -> float:
-    """The float value of a stored sum, its monomials taken in the canonical
-    order; c / d rounds once, as float of the reduced Fraction does."""
+    """The float value of a stored sum whose pairs are in the canonical order;
+    c / d rounds once, as float of the reduced Fraction does."""
     if len(monos) == 1 and not monos[0][0]:
         return monos[0][1] / d  # a constant, as the loop gives it: 0.0 + v is v
     total = 0.0
-    for k, c in sorted(monos, key=_canonical):
+    for k, c in monos:
         v = c / d
-        for atom, e in _decoded(k):
-            v *= _eval_atom(atom, e, params)
+        for f in _factors(k):
+            v *= f if f.__class__ is float else _param_power(params, *f)
         total += v
     return total
 
@@ -840,36 +877,27 @@ def _exact_sum(monos, d: int, params: Mapping[str, float]) -> Fraction | None:
     return total / d
 
 
-def _exp_source(e: Fraction) -> str:
-    if e == 1:
-        return ""
-    if e.denominator == 1 and e > 0:
-        return f"^{e}"
-    return f"^({e})"
-
-
-def _atom_source(atom: Atom) -> str:
-    kind = atom[0]
-    if kind == "p":
-        return atom[1]
-    if kind == "g":
-        return f"gamma({atom[1]})"
-    return str(atom[1])
+def _exp_source(n: int, d: int) -> str:
+    """The printed exponent n/d of an atom, '' for 1."""
+    if d != 1:
+        return f"^({n}/{d})"
+    return "" if n == 1 else f"^{n}" if n > 0 else f"^({n})"
 
 
 def _sum_source(monos, d: int) -> str:
+    """The text of a stored sum whose pairs are in the canonical order."""
     if not monos:
         return "0"
     chunks = []
-    for i, (k, c) in enumerate(sorted(monos, key=_canonical)):
+    for i, (k, c) in enumerate(monos):
         g = math.gcd(c, d)
-        coeff = f"{abs(c) // g}" if g == d else f"{abs(c) // g}/{d // g}"
-        parts = [coeff] if coeff != "1" or not k else []
-        parts += (_atom_source(atom) + _exp_source(e) for atom, e in _decoded(k))
+        text = f"{abs(c) // g}" if g == d else f"{abs(c) // g}/{d // g}"
+        if k:
+            text = _sig_source(k) if text == "1" else text + "*" + _sig_source(k)
         if i == 0:
-            chunks.append(("-" if c < 0 else "") + "*".join(parts))
+            chunks.append(("-" if c < 0 else "") + text)
         else:
-            chunks.append((" - " if c < 0 else " + ") + "*".join(parts))
+            chunks.append((" - " if c < 0 else " + ") + text)
     return "".join(chunks)
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from fracseries.dsl import parse_problem
 from fracseries.errors import EvalError
 from fracseries.evaluate import (
     ErrorTable,
@@ -76,6 +77,25 @@ def test_eval_accepts_param_overrides(wave_problem):
     assert math.isfinite(v)
     with pytest.raises(EvalError):
         eval_solution(sol, 0.5, 0.25)  # parameters unbound
+
+
+def test_non_finite_parameters_are_rejected():
+    # exp(-nu*x) is 0.0 at nu = inf, so the table would read zeros; nan would
+    # fail later as a total that names no parameter
+    prob = parse_problem("param nu\nalpha = 1/2\norder = 1\nic0 = exp(-nu*x)\nrhs = psi\n")
+    sol = solve(prob, 4)
+    assert eval_solution(sol, 1.0, 0.5, params={"nu": 2.0}) > 0.0
+    for bad in (math.inf, -math.inf, math.nan):
+        message = f"^parameter 'nu' = {bad} is not finite$"
+        with pytest.raises(EvalError, match=message):
+            eval_solution(sol, 1.0, 0.5, params={"nu": bad})
+        with pytest.raises(EvalError, match=message):
+            error_table(sol, None, EvalGrid(xs=(0.0, 1.0), ts=(0.5,), params={"nu": bad}))
+    # a file default past the double range is named too
+    huge = parse_problem("param nu = 2^(1/2)*17*10^99*10^99*10^99*10^10\nalpha = 1/2\norder = 1\n"
+                         "ic0 = exp(-nu*x)\nrhs = psi\n")
+    with pytest.raises(EvalError, match="^parameter 'nu' = inf is not finite$"):
+        eval_solution(solve(huge, 2), 1.0, 0.5)
 
 
 def test_negative_time_rejected(diffusion_problem):

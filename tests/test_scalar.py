@@ -18,22 +18,30 @@ import fracseries
 from fracseries.expr import Expr
 from fracseries.errors import EvalError, ScalarError
 from fracseries import scalar
+from fracseries.gammafn import gamma_real
 from fracseries.scalar import (
     _GAMMA_LEVEL_LIMIT,
     _ONE_SUM,
+    _SIG_KEYS,
     Scalar,
+    _atom_order,
+    _canonical,
     _decode_sum,
     _decoded,
     _encode,
     _encode_sum,
     _factorize,
+    _factors,
     _gamma_level,
     _rebuild,
     _reduce,
     _sig_mul,
+    _sig_source,
+    _sort_key,
     _sum_add,
     _sum_mul,
 )
+from fracseries.series import _time_power, _weight, gamma_factor
 from fracseries.solver import _drop_engine, apply_rhs, residual_series, solve
 
 
@@ -545,6 +553,153 @@ def test_unbound_parameter_is_an_error():
         Scalar.param("zeta").eval({})
 
 
+# The per-atom loops of eval and printing, each monomial decoded from its
+# signature at every call: what the per-id factors and text must reproduce
+# byte for byte.
+
+def _ref_eval_atom(atom, e, params):
+    kind = atom[0]
+    if kind == "p":
+        name = atom[1]
+        if name not in params:
+            raise EvalError(f"unbound parameter '{name}'")
+        base = float(params[name])
+        if base < 0.0 and e.denominator != 1:
+            raise EvalError(f"parameter '{name}' = {base} under fractional power")
+        if base == 0.0 and e < 0:
+            raise EvalError(f"parameter '{name}' = 0 under negative power")
+        return base ** float(e)
+    if kind == "g":
+        return gamma_real(float(atom[1])) ** float(e)
+    return float(atom[1]) ** float(e)
+
+
+def _ref_eval_sum(monos, d, params):
+    if len(monos) == 1 and not monos[0][0]:
+        return monos[0][1] / d
+    total = 0.0
+    for k, c in sorted(monos, key=_canonical):
+        v = c / d
+        for atom, e in _decoded(k):
+            v *= _ref_eval_atom(atom, e, params)
+        total += v
+    return total
+
+
+def _ref_eval(s, params):
+    """s.eval(params) where the denominator is far from zero."""
+    dv = 1.0 if s.den is _ONE_SUM else _ref_eval_sum(s.den, s.dd, params)
+    return _ref_eval_sum(s.num, s.nd, params) / dv
+
+
+def _ref_exp_source(e):
+    if e == 1:
+        return ""
+    if e.denominator == 1 and e > 0:
+        return f"^{e}"
+    return f"^({e})"
+
+
+def _ref_atom_source(atom):
+    kind = atom[0]
+    if kind == "p":
+        return atom[1]
+    if kind == "g":
+        return f"gamma({atom[1]})"
+    return str(atom[1])
+
+
+def _ref_sum_source(monos, d):
+    if not monos:
+        return "0"
+    chunks = []
+    for i, (k, c) in enumerate(sorted(monos, key=_canonical)):
+        g = math.gcd(c, d)
+        coeff = f"{abs(c) // g}" if g == d else f"{abs(c) // g}/{d // g}"
+        parts = [coeff] if coeff != "1" or not k else []
+        parts += (_ref_atom_source(atom) + _ref_exp_source(e) for atom, e in _decoded(k))
+        if i == 0:
+            chunks.append(("-" if c < 0 else "") + "*".join(parts))
+        else:
+            chunks.append((" - " if c < 0 else " + ") + "*".join(parts))
+    return "".join(chunks)
+
+
+def _ref_source(s):
+    src = _ref_sum_source(s.num, s.nd)
+    return src if s.den == _ONE_SUM else f"({src})/({_ref_sum_source(s.den, s.dd)})"
+
+
+BINDINGS = ({"nu": 0.7, "omega": 1.9, "lambda": 1.3},
+            {"nu": 2.25, "omega": 0.3, "lambda": -0.8})
+
+
+def _per_id_scalars(delay_problem, wave_problem):
+    """Seeded Scalars over Gamma atoms of the weights at alpha 2/7 and 3/4, prime
+    atoms of the time powers (1/2)^(k*alpha), parameters under fractional and
+    negative exponents and quotients over 1 + nu, and every coefficient of
+    burgers-delay at alpha 2/7 (K = 10) and of klein-gordon (K = 8)."""
+    nu, omega = Scalar.param("nu"), Scalar.param("omega")
+    pieces = [(nu / omega).sqrt(), nu ** -2, omega ** Fraction(-3, 2), 1 / (1 + nu),
+              (nu - omega) / (1 + nu), Scalar.param("lambda")]
+    for alpha in (Fraction(2, 7), Fraction(3, 4)):
+        pieces += [_weight(alpha, i, j) for i in range(1, 6) for j in range(i, 6)]
+        pieces += [_time_power(Fraction(1, 2), k * alpha) for k in range(1, 8)]
+        pieces += [gamma_factor(alpha, k) for k in range(1, 8)]
+    rng = random.Random(3011)
+    out = list(pieces)
+    for _ in range(300):
+        a, b, c = rng.sample(pieces, 3)
+        out.append(a * b + c if rng.random() < 0.7 else (a - c) * b * Fraction(rng.randrange(-9, 10), 7))
+    for problem, alpha, order in ((delay_problem, Fraction(2, 7), 10),
+                                  (wave_problem, wave_problem.alpha, 8)):
+        sol = solve(dataclasses.replace(problem, alpha=alpha), order)
+        out += _expr_scalars(sol.coeffs)
+    return out
+
+
+def test_eval_and_print_match_the_per_atom_loops(delay_problem, wave_problem):
+    scalars = _per_id_scalars(delay_problem, wave_problem)
+    kinds = {atom[0] for s in scalars for part in _decoded_sums(s) for sig, _ in part
+             for atom, _e in sig}
+    assert kinds == {"g", "p", "r"}
+    assert sum(s.den is not _ONE_SUM for s in scalars) > 20
+    for s in scalars:
+        for _ in range(2):  # the order and text kept by the first call serve the second
+            assert s.to_source() == _ref_source(s)
+            for bind in BINDINGS:
+                assert s.eval(bind).hex() == _ref_eval(s, bind).hex(), s
+
+
+def test_eval_does_not_depend_on_bindings_or_copies(delay_problem, wave_problem):
+    # a Scalar evaluated under A, B, A gives what fresh ones give, and a copy
+    # or unpickled Scalar, with no order kept yet, prints and evaluates the same
+    a, b = BINDINGS
+    for s in _per_id_scalars(delay_problem, wave_problem)[:400]:
+        values = [s.eval(bind).hex() for bind in (a, b, a)]
+        assert values == [_ref_eval(s, bind).hex() for bind in (a, b, a)]
+        for c in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+            assert c._order is None and c._src is None
+            assert [c.eval(bind).hex() for bind in (b, a, b)] == [values[1], values[0], values[1]]
+            assert c.to_source() == s.to_source()
+
+
+def test_parameter_errors_are_raised_on_every_call():
+    nu = Scalar.param("nu")
+    cases = [
+        (Scalar.param("zeta") + nu, {"nu": 1.0}, "unbound parameter 'zeta'"),
+        (nu ** Fraction(1, 2) + Scalar.gamma(Fraction(2, 7)), {"nu": -1.5},
+         "parameter 'nu' = -1.5 under fractional power"),
+        (nu ** -2 * Scalar.rational_power(3, Fraction(1, 7)), {"nu": 0.0},
+         "parameter 'nu' = 0 under negative power"),
+    ]
+    for s, bad, message in cases:
+        for _ in range(3):
+            with pytest.raises(EvalError, match=f"^{message}$"):
+                s.eval(bad)
+            assert s.eval({"nu": 2.0, "zeta": 1.0}) == _ref_eval(s, {"nu": 2.0, "zeta": 1.0})
+
+
 def test_structural_identity_is_canonical(delay_problem, diffusion_problem):
     # equal values built along different routes compare equal structurally
     a = Scalar.param("a")
@@ -654,31 +809,58 @@ OTHER_ATOMS_FIRST = (
 
 def test_pickles_do_not_depend_on_signature_ids(delay_problem):
     # a Scalar and a solution pickled by a process that met other atoms first
-    # come back equal here, with equal hashes, though it stored other ids
-    problem = pathlib.Path(__file__).resolve().parents[1] / "problems" / "burgers_delay.frac"
+    # come back equal here, with equal hashes, though it stored other ids; the
+    # coefficients print and evaluate alike in both processes and here
+    problems = pathlib.Path(__file__).resolve().parents[1] / "problems"
     child = (
         "import dataclasses, pickle, sys\n"
         "from fractions import Fraction\n"
         "from fracseries import parse_problem_file, solve\n"
         "from fracseries.scalar import Scalar\n"
-        f"p = dataclasses.replace(parse_problem_file({str(problem)!r}), alpha=Fraction(2, 7))\n"
+        f"p = dataclasses.replace(parse_problem_file({str(problems / 'burgers_delay.frac')!r}),\n"
+        "                        alpha=Fraction(2, 7))\n"
         "surd = (Scalar.gamma(Fraction(2, 7)) * Scalar.rational_power(3, Fraction(-3, 7))\n"
         "        + Scalar.param('nu'))\n"
-        "sys.stdout.buffer.write(pickle.dumps((solve(p, 6), surd, surd.num)))\n"
+        "sol = solve(p, 8)\n"
+        "texts = [s.to_source() for s in sol.coeffs]\n"
+        "values = [s.eval(x).hex() for s in sol.coeffs for x in (0.5, 1.0)]\n"
+        "sys.stdout.buffer.write(pickle.dumps((sol, surd, surd.num, texts, values)))\n"
     )
-    sol = solve(dataclasses.replace(delay_problem, alpha=Fraction(2, 7)), 6)
+    # klein-gordon's parameter atoms and the Gamma and prime atoms of alpha
+    # 3/5, interned, evaluated and printed before burgers-delay's
+    others_first = OTHER_ATOMS_FIRST + (
+        "import dataclasses\n"
+        "from fracseries import parse_problem_file, solve\n"
+        f"kg = solve(parse_problem_file({str(problems / 'klein_gordon.frac')!r}), 6)\n"
+        f"bd = parse_problem_file({str(problems / 'burgers_delay.frac')!r})\n"
+        "bd = solve(dataclasses.replace(bd, alpha=Fraction(3, 5)), 6)\n"
+        "[(s.to_source(), s.eval(0.5, {'nu': 1.5, 'omega': 0.5, 'lambda': 2.0}))\n"
+        " for s in kg.coeffs + bd.coeffs]\n"
+    )
+    sol = solve(dataclasses.replace(delay_problem, alpha=Fraction(2, 7)), 8)
     surd = Scalar.gamma(Fraction(2, 7)) * Scalar.rational_power(3, Fraction(-3, 7)) + Scalar.param("nu")
-    stored = []
-    for first in ("", OTHER_ATOMS_FIRST):
+    stored, printed = [], []
+    for first in ("", others_first):
         r = subprocess.run([sys.executable, "-c", first + child],
                            capture_output=True, env=_child_env())
         assert r.returncode == 0, r.stderr
-        c_sol, c_surd, c_num = pickle.loads(r.stdout)
+        c_sol, c_surd, c_num, texts, values = pickle.loads(r.stdout)
         assert c_sol == sol and c_sol.coeffs == sol.coeffs and c_surd == surd
         assert hash(c_sol.coeffs) == hash(sol.coeffs) and hash(c_surd) == hash(surd)
         assert c_surd.to_source() == surd.to_source()
         stored.append(c_num)
+        printed.append((texts, values))
     assert stored[0] != stored[1]
+    assert printed[0] == printed[1] == ([s.to_source() for s in sol.coeffs],
+                                        [s.eval(x).hex() for s in sol.coeffs for x in (0.5, 1.0)])
+
+
+def test_per_id_caches_grow_with_the_signatures(delay_problem, wave_problem):
+    for s in _per_id_scalars(delay_problem, wave_problem):
+        s.eval(BINDINGS[0])
+        s.to_source()
+    for cache in (_atom_order, _decoded, _sort_key, _factors, _sig_source):
+        assert 0 < cache.cache_info().currsize <= len(_SIG_KEYS), cache
 
 
 def test_signature_product_cache_is_bounded(delay_problem, monkeypatch):
