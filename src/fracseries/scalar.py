@@ -36,8 +36,10 @@ decoded once, on first use: its atoms are sorted once into their canonical
 order, and from that order come its decoded signature, its sort key, its
 printed text (gamma(1/7)^2*2^(3/7)) and the factors eval multiplies by (a
 Gamma or prime atom's power as one float, a parameter as (name, n, d), bound
-at each call). A Scalar keeps its numerator's pairs in the canonical order,
-sorted on first eval or print, and its printed text.
+at each call); an atom's float value is formed once, on its first eval.
+Interning computes none of these, so exact arithmetic never evaluates. A
+Scalar keeps its numerator's pairs in the canonical order, sorted on first
+eval or print, and its printed text.
 
 Ids depend on the order in which a process first met its signatures, so
 nothing that must not depend on it reads them. The canonical order of
@@ -147,16 +149,13 @@ def _demote(q: Coeff) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
-# Atoms by index, with the prime of each prime atom (0 for the other kinds),
-# a sort key (see _sort_key), the printed text and the float value of a Gamma
-# or prime atom (None for a parameter). Process-wide and never pruned, as
-# stored signatures name atoms by index.
+# Atoms by index, with the prime of each prime atom (0 for the other kinds)
+# and a sort key (see _sort_key). Process-wide and never pruned, as stored
+# signatures name atoms by index.
 _ATOMS: list[Atom] = []
 _ATOM_IDS: dict[Atom, int] = {}
 _PRIMES: list[int] = []
 _ATOM_KEYS: list[tuple] = []
-_ATOM_TEXTS: list[str] = []
-_ATOM_FLOATS: list[float | None] = []
 # Held to add an atom or a signature; lookups need none, as an index enters its dict last.
 _INTERN_LOCK = threading.Lock()
 
@@ -170,9 +169,6 @@ def _atom_id(atom: Atom) -> int:
                 _ATOMS.append(atom)
                 _PRIMES.append(atom[1] if atom[0] == "r" else 0)
                 _ATOM_KEYS.append(("g", float(atom[1]), atom[1]) if atom[0] == "g" else atom)
-                _ATOM_TEXTS.append(f"gamma({atom[1]})" if atom[0] == "g" else str(atom[1]))
-                _ATOM_FLOATS.append(gamma_real(float(atom[1])) if atom[0] == "g"
-                                    else float(atom[1]) if atom[0] == "r" else None)
                 i = _ATOM_IDS[atom] = len(_ATOMS) - 1
     return i
 
@@ -225,10 +221,11 @@ def _rational(n: int, d: int) -> Fraction:
     return Fraction(n, d)
 
 
-# The caches below hold one entry per id they have seen, so they grow with
-# _SIG_KEYS and no faster. The atom order is sorted once per id, and the
-# decoded signature, the sort key, the float factors and the printed text are
-# each formed from it once.
+# The caches below hold one entry per id (or, for _atom_float, per atom) they
+# have seen, so they grow with _SIG_KEYS and _ATOMS and no faster. The atom
+# order is sorted once per id, and the decoded signature, the sort key, the
+# float factors and the printed text are each formed from it once. Nothing
+# here runs when an id is interned, so exact arithmetic never evaluates.
 
 @functools.cache
 def _atom_order(k: int) -> tuple[tuple[int, int, int], ...]:
@@ -261,18 +258,35 @@ def _canonical(item: tuple[int, int]) -> tuple:
 
 
 @functools.cache
+def _atom_float(a: int) -> float:
+    """The float value of Gamma or prime atom a. A Gamma argument below the
+    float range overflows, as math.gamma does just above it."""
+    kind, v = _ATOMS[a]
+    x = float(v)
+    if kind == "r":
+        return x
+    if x == 0.0:
+        raise OverflowError(f"gamma({v}) is past the float range")
+    return gamma_real(x)
+
+
+@functools.cache
 def _factors(k: int) -> tuple:
     """What eval multiplies a monomial of signature k by, in the order of its
     atoms: a Gamma or prime atom's power as a float, a parameter as (name, n, d),
     bound at each evaluation. n / d rounds once, as float(Fraction(n, d)) does."""
-    return tuple((_ATOMS[a][1], n, d) if _ATOM_FLOATS[a] is None else _ATOM_FLOATS[a] ** (n / d)
+    return tuple((_ATOMS[a][1], n, d) if _ATOMS[a][0] == "p" else _atom_float(a) ** (n / d)
                  for a, n, d in _atom_order(k))
 
 
 @functools.cache
 def _sig_source(k: int) -> str:
     """Signature k as printed, its atom powers joined by '*' ('' for id 0)."""
-    return "*".join(_ATOM_TEXTS[a] + _exp_source(n, d) for a, n, d in _atom_order(k))
+    parts = []
+    for a, n, d in _atom_order(k):
+        kind, v = _ATOMS[a]
+        parts.append((f"gamma({v})" if kind == "g" else str(v)) + _exp_source(n, d))
+    return "*".join(parts)
 
 
 # The product is symmetric, so _sum_mul passes each pair in order and one entry serves

@@ -22,8 +22,8 @@ from fracseries.gammafn import gamma_real
 from fracseries.scalar import (
     _GAMMA_LEVEL_LIMIT,
     _ONE_SUM,
-    _SIG_KEYS,
     Scalar,
+    _atom_float,
     _atom_order,
     _canonical,
     _decode_sum,
@@ -855,12 +855,41 @@ def test_pickles_do_not_depend_on_signature_ids(delay_problem):
                                         [s.eval(x).hex() for s in sol.coeffs for x in (0.5, 1.0)])
 
 
-def test_per_id_caches_grow_with_the_signatures(delay_problem, wave_problem):
-    for s in _per_id_scalars(delay_problem, wave_problem):
-        s.eval(BINDINGS[0])
-        s.to_source()
-    for cache in (_atom_order, _decoded, _sort_key, _factors, _sig_source):
-        assert 0 < cache.cache_info().currsize <= len(_SIG_KEYS), cache
+def test_each_signature_is_decoded_once(delay_problem, wave_problem):
+    # a copy keeps no order or text, so copying, printing and evaluating the
+    # same Scalars a second time reads every id's decoding from the caches
+    # and forms none anew
+    scalars = _per_id_scalars(delay_problem, wave_problem)
+    caches = (_atom_order, _decoded, _sort_key, _factors, _sig_source, _atom_float)
+    seen = []
+    for bind in BINDINGS:
+        for s in scalars:
+            c = copy.copy(s)
+            c.eval(bind)
+            c.to_source()
+        seen.append([(cache.cache_info().currsize, cache.cache_info().misses) for cache in caches])
+    assert seen[1] == seen[0]
+    assert all(size <= len(scalar._SIG_KEYS) for size, _ in seen[0][:-1])
+    assert seen[0][-1][0] <= len(scalar._ATOMS)
+
+
+@pytest.mark.parametrize("exponent", [309, 400])
+def test_a_gamma_argument_past_the_float_range_is_exact_until_evaluated(delay_problem, exponent):
+    # Gamma(1/10^309) overflows a float and 1/10^400 is 0.0 as a float: the
+    # coefficients still form and print, evaluating such an atom is an
+    # EvalError on every call, and atoms met afterwards evaluate correctly
+    alpha = Fraction(1, 10**exponent)
+    sol = solve(dataclasses.replace(delay_problem, alpha=alpha), 3)
+    assert any(f"gamma({alpha})" in s.to_source() for s in sol.coeffs)
+    tiny = Scalar.gamma(alpha) * Scalar.gamma(Fraction(3, 37 + exponent))
+    for _ in range(2):
+        with pytest.raises(EvalError, match="overflow"):
+            tiny.eval()
+    later = Scalar.gamma(Fraction(5, 41 + exponent)) * Scalar.rational_power(
+        10007 + exponent, Fraction(1, 3))
+    assert later.eval() == _ref_eval(later, {})
+    later = later * Scalar.param("nu")
+    assert later.eval({"nu": 1.5}) == _ref_eval(later, {"nu": 1.5})
 
 
 def test_signature_product_cache_is_bounded(delay_problem, monkeypatch):
