@@ -174,21 +174,15 @@ def _solve_stage(prob: Problem, order: int, linear: bool = False) -> SeriesSolut
 # -- subcommands ------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
+    """solve and coeffs: the coefficients, after a report line for a pretty solve."""
     prob, order, _ = _load_stage(args)
     sol = _solve_stage(prob, order, linear=args.linear)
-    if args.format == "pretty":
+    if args.command == "solve" and args.format == "pretty":
         print(
             f"problem: {prob.name}   m = {prob.m}   alpha = {prob.alpha}   "
             f"K = {order}   path: "
             + ("linear" if sol.linear_path_used else "recurrence")
         )
-    sys.stdout.write(export(sol, args.format))
-    return 0
-
-
-def _cmd_coeffs(args) -> int:
-    prob, order, _ = _load_stage(args)
-    sol = _solve_stage(prob, order, linear=args.linear)
     sys.stdout.write(export(sol, args.format))
     return 0
 
@@ -278,15 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="derive coefficients, print a report")
-    _add_common(sp)
-    sp.add_argument("--linear", action="store_true", help="require a linear right-hand side")
-    sp.set_defaults(fn=_cmd_solve)
-
-    sp = sub.add_parser("coeffs", help="print the coefficient list")
-    _add_common(sp)
-    sp.add_argument("--linear", action="store_true", help="require a linear right-hand side")
-    sp.set_defaults(fn=_cmd_coeffs)
+    for name, text in (("solve", "derive coefficients, print a report"),
+                       ("coeffs", "print the coefficient list")):
+        sp = sub.add_parser(name, help=text)
+        _add_common(sp)
+        sp.add_argument("--linear", action="store_true", help="require a linear right-hand side")
+        sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("residual", help="check the series against the equation")
     _add_common(sp, fmt=False)

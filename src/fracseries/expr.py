@@ -81,10 +81,7 @@ class Expr:
 
     @classmethod
     def const(cls, value: ScalarLike) -> "Expr":
-        s = Scalar._coerce(value)
-        if s.is_zero():
-            return _EXPR_ZERO
-        return cls._make({Scalar.zero(): [s]})
+        return cls.exponential(0, value)
 
     @classmethod
     def x(cls) -> "Expr":
@@ -106,19 +103,18 @@ class Expr:
 
     @classmethod
     def cosh_of(cls, mu: ScalarLike) -> "Expr":
-        m = Scalar._coerce(mu)
-        if m.is_zero():
-            return cls.one()
-        half = Scalar.from_fraction(Fraction(1, 2))
-        return cls._make({m: [half], -m: [half]})
+        return cls._hyperbolic(mu, 1)
 
     @classmethod
     def sinh_of(cls, mu: ScalarLike) -> "Expr":
+        return cls._hyperbolic(mu, -1)
+
+    @classmethod
+    def _hyperbolic(cls, mu: ScalarLike, sign: int) -> "Expr":
+        """(exp(mu*x) + sign*exp(-mu*x))/2: cosh for sign 1, sinh for -1."""
         m = Scalar._coerce(mu)
-        if m.is_zero():
-            return cls.zero()
         half = Scalar.from_fraction(Fraction(1, 2))
-        return cls._make({m: [half], -m: [-half]})
+        return cls.exponential(m, half) + cls.exponential(-m, sign * half)
 
     # -- predicates -----------------------------------------------------------
 

@@ -260,14 +260,18 @@ def _canonical(item: tuple[int, int]) -> tuple:
 @functools.cache
 def _atom_float(a: int) -> float:
     """The float value of Gamma or prime atom a. A Gamma argument below the
-    float range overflows, as math.gamma does just above it."""
+    float range, or whose Gamma value is past it, is an EvalError."""
     kind, v = _ATOMS[a]
     x = float(v)
     if kind == "r":
         return x
-    if x == 0.0:
-        raise OverflowError(f"gamma({v}) is past the float range")
-    return gamma_real(x)
+    try:
+        if x != 0.0:
+            return gamma_real(x)
+    except OverflowError:
+        pass
+    bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+    raise EvalError(f"overflow: gamma of {_shown(v, bits, 'an argument ')} is past the float range")
 
 
 @functools.cache
@@ -858,7 +862,11 @@ def _param_power(params: Mapping[str, float], name: str, n: int, d: int) -> floa
         raise EvalError(f"parameter '{name}' = {base} under fractional power")
     if base == 0.0 and n < 0:
         raise EvalError(f"parameter '{name}' = 0 under negative power")
-    return base ** (n / d)
+    try:
+        return base ** (n / d)
+    except OverflowError:
+        raise EvalError(f"overflow: parameter '{name}' = {base} "
+                        f"to the power {Fraction(n, d)} is past the float range") from None
 
 
 def _eval_sum(monos, d: int, params: Mapping[str, float]) -> float:

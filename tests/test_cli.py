@@ -520,7 +520,10 @@ def test_misspelt_param_is_2_before_solving(capsys, tmp_path):
     (("nu=-1", "omega=1", "lambda=1"), "1", "parameter 'nu' = -1.0 under fractional power"),
     (("nu=1", "omega=0", "lambda=1"), "1", "parameter 'omega' = 0 under negative power"),
     (("nu=1", "omega=1", "lambda=1"), "1e4", "overflow evaluating expression at x=10000.0"),
-], ids=["negative-under-root", "zero-under-negative-power", "exp-overflow"])
+    # omega^(-3/2) in coefficient 3 is past the double range
+    (("nu=1e308", "omega=1e-308", "lambda=1"), "1",
+     "overflow: parameter 'omega' = 1e-308 to the power -3/2 is past the float range"),
+], ids=["negative-under-root", "zero-under-negative-power", "exp-overflow", "power-overflow"])
 def test_binding_outside_the_domain_is_1(capsys, problems_dir, binding, xv, message):
     params = [arg for b in binding for arg in ("--param", b)]
     code, out, err = run(capsys, "eval", _fx(problems_dir, "klein_gordon.frac"), "-K", "4",

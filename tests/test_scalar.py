@@ -548,6 +548,19 @@ def test_denominator_cancelling_in_floats_divides_by_its_exact_value():
         (Scalar.one() / (nu * nu + omega * omega)).eval({"nu": 1e-200, "omega": 1e-200})
 
 
+def test_denominator_with_a_root_or_gamma_atom_is_checked_in_floats_only():
+    # a parameter under a fractional power or a Gamma atom has no exact value
+    # at the binding, so only a float sum of exactly 0.0 is caught; float terms
+    # cancelling to a tiny nonzero value are not (ROADMAP item 14)
+    nu, g = Scalar.param("nu"), Scalar.gamma(Fraction(1, 3))
+    for den, at_zero, bind, want in ((nu ** Fraction(1, 2) - 1, 1.0, 4.0, 1.0),
+                                     (g * nu - g, 1.0, 2.0, 1 / math.gamma(1 / 3))):
+        value = Scalar.one() / den
+        with pytest.raises(EvalError, match="evaluates to zero$"):
+            value.eval({"nu": at_zero})
+        assert value.eval({"nu": bind}) == want
+
+
 def test_unbound_parameter_is_an_error():
     with pytest.raises(EvalError):
         Scalar.param("zeta").eval({})
@@ -890,6 +903,15 @@ def test_a_gamma_argument_past_the_float_range_is_exact_until_evaluated(delay_pr
     assert later.eval() == _ref_eval(later, {})
     later = later * Scalar.param("nu")
     assert later.eval({"nu": 1.5}) == _ref_eval(later, {"nu": 1.5})
+
+
+def test_overflow_names_the_gamma_atom_or_the_parameter():
+    with pytest.raises(EvalError, match=r"^overflow: gamma of an argument with a 1329-bit "
+                                        r"integer is past the float range$"):
+        Scalar.gamma(Fraction(1, 10**400)).eval()
+    with pytest.raises(EvalError, match=r"^overflow: parameter 'nu' = 1e\+308 to the power 2 "
+                                        r"is past the float range$"):
+        (Scalar.param("nu") ** 2).eval({"nu": 1e308})
 
 
 def test_signature_product_cache_is_bounded(delay_problem, monkeypatch):
