@@ -14,8 +14,10 @@ name rules): `^` is right-associative and binds tightest except for the
 delay suffix `@(c*x, c*t)`; then unary minus; then `*` `/`; then `+` `-`.
 Each `@` argument is read in its own variable, x first and t second, and
 may be any positive rational constant multiple of it (x/2, 3*x/2, (1+1)*t).
-Numbers are exact rationals in the ASCII digits 0-9 (any other digit
-character is an unexpected character); decimals convert exactly.
+Numbers are exact rationals in the ASCII digits 0-9, and decimals convert
+exactly. A name starts with a letter or `_` and goes on with Unicode letters,
+digits or `_`, so `x²` is a name and `²x` an error. Tab and CR count as
+spaces, and `#` starts a comment.
 Functions: exp, sinh, cosh, sqrt, and in the rhs also Dx(E[, n]),
 exptime(c), polytime(c0, c1, ...).
 
@@ -87,53 +89,31 @@ class _Tok:
     frac: Optional[Fraction] = None
 
 
-_OP_CHARS = frozenset("+-*/^(),@")
-_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # ASCII digits only: str.isdigit() takes '²'
+# Tried in order at each index: newline, spaces, comment, number (ASCII digits only:
+# str.isdigit() takes '²'), word, operator, any other character.
+_TOKEN = re.compile(r"(\n)|[ \t\r]+|(#[^\n]*)|([0-9]+(?:\.[0-9]+)?)|(\w+)|([-+*/^(),@])|(.)")
 
 
 def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, n = 0, len(text)
-    ln, cl = line, col
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            ln += 1
-            cl = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            cl += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        num = _NUMBER.match(text, i)
-        if num:
-            lit = num.group()
-            if len(lit) > _MAX_DIGITS:
-                raise ParseError(f"number of {len(lit)} characters out of supported range", ln, cl)
-            toks.append(_Tok("num", lit, ln, cl, Fraction(lit)))
-            cl += len(lit)
-            i = num.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], ln, cl))
-            cl += j - i
-            i = j
-            continue
-        if ch in _OP_CHARS:
-            toks.append(_Tok("op", ch, ln, cl))
-            cl += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", ln, cl)
-    toks.append(_Tok("end", "", ln, cl))
+    ln, origin, comment = line, -col, None  # index i of the current line is column i - origin
+    for m in _TOKEN.finditer(text):
+        newline, comment, num, word, op, other = m.groups()
+        cl = m.start() - origin
+        if newline:
+            ln, origin = ln + 1, m.start()
+        elif num:
+            if len(num) > _MAX_DIGITS:
+                raise ParseError(f"number of {len(num)} characters out of supported range", ln, cl)
+            toks.append(_Tok("num", num, ln, cl, Fraction(num)))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            toks.append(_Tok("name", word, ln, cl))
+        elif op:
+            toks.append(_Tok("op", op, ln, cl))
+        elif word or other:
+            raise ParseError(f"unexpected character {m[0][0]!r}", ln, cl)
+    # a trailing comment does not move the end column
+    toks.append(_Tok("end", "", ln, (m.start() if comment else len(text)) - origin))
     return toks
 
 
@@ -509,8 +489,8 @@ def _expand_rhs(node: tuple, env: _Env) -> list:
     if tag == "add":
         return _expand_rhs(node[2], env) + _expand_rhs(node[3], env)
     if tag == "sub":
-        rhs = [(-c, tc, k) for c, tc, k in _expand_rhs(node[3], env)]
-        return _expand_rhs(node[2], env) + rhs
+        lhs = _expand_rhs(node[2], env)
+        return lhs + [(-c, tc, k) for c, tc, k in _expand_rhs(node[3], env)]
     if tag == "mul":
         return _cross(_expand_rhs(node[2], env), _expand_rhs(node[3], env), pos, env)
     if tag == "div":

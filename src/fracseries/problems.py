@@ -139,7 +139,7 @@ class Problem:
         out: dict[str, float] = {}
         for name, val in self.params.items():
             if val is not None:
-                out[name] = val.eval({})
+                out[name] = val._float({})  # named below if not finite
         if overrides:
             out.update(overrides)
         for name, v in out.items():

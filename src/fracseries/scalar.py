@@ -270,8 +270,21 @@ def _atom_float(a: int) -> float:
             return gamma_real(x)
     except OverflowError:
         pass
+    raise _gamma_overflow(v)
+
+
+def _gamma_overflow(v: Fraction, power: str = "") -> EvalError:
     bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-    raise EvalError(f"overflow: gamma of {_shown(v, bits, 'an argument ')} is past the float range")
+    return EvalError(f"overflow: gamma of {_shown(v, bits, 'an argument ')}{power} is past the float range")
+
+
+def _atom_power(a: int, n: int, d: int) -> float:
+    """Gamma or prime atom a to the power n/d; only a Gamma atom's can overflow
+    (a prime's exponent lies in (0, 1))."""
+    try:
+        return _atom_float(a) ** (n / d)
+    except OverflowError:
+        raise _gamma_overflow(_ATOMS[a][1], f" to the power {Fraction(n, d)}") from None
 
 
 @functools.cache
@@ -279,7 +292,7 @@ def _factors(k: int) -> tuple:
     """What eval multiplies a monomial of signature k by, in the order of its
     atoms: a Gamma or prime atom's power as a float, a parameter as (name, n, d),
     bound at each evaluation. n / d rounds once, as float(Fraction(n, d)) does."""
-    return tuple((_ATOMS[a][1], n, d) if _ATOMS[a][0] == "p" else _atom_float(a) ** (n / d)
+    return tuple((_ATOMS[a][1], n, d) if _ATOMS[a][0] == "p" else _atom_power(a, n, d)
                  for a, n, d in _atom_order(k))
 
 
@@ -753,7 +766,13 @@ class Scalar:
     # -- numerics ----------------------------------------------------------------
 
     def eval(self, params: Mapping[str, float] | None = None) -> float:
-        params = params or {}
+        value = self._float(params or {})
+        if math.isfinite(value):
+            return value
+        raise EvalError(f"overflow: {_shown(self, self.bit_size(), 'a scalar ')} evaluates to {value}")
+
+    def _float(self, params: Mapping[str, float]) -> float:
+        """The float value, inf or nan where in-range factors multiply past the float range."""
         try:
             nv = _eval_sum(self._num_order(), self.nd, params)
             if self.den is _ONE_SUM:

@@ -188,6 +188,57 @@ def test_delay_coefficients_match_a_float_recurrence(delay_problem, alpha):
         assert abs(got - want[k]) <= _DELAY_FLOAT_RTOL * abs(want[k]), (k, got, want[k])
 
 
+def _poly_mul(a: list[float], b: list[float]) -> list[float]:
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _quotient_floats(alpha: float, nu: float, K: int) -> list[list[float]]:
+    # c_0..c_K of ic0 = x/(1 + nu), rhs = psi^2 + Dx(psi)*psi, each a list of
+    # x-polynomial coefficients (lowest degree first):
+    #   c_{k+1} = sum_{i+j=k} W(i, j) (c_i c_j + c_i' c_j),
+    # with W as in _delay_floats, in floats alone
+    g = [math.gamma(1 + k * alpha) for k in range(K + 1)]
+    c = [[0.0, 1.0 / (1.0 + nu)]]
+    for k in range(K):
+        nxt = [0.0] * (k + 3)
+        for i in range(k + 1):
+            ci, cj = c[i], c[k - i]
+            dci = [n * v for n, v in enumerate(ci)][1:] or [0.0]
+            w = g[k] / (g[i] * g[k - i])
+            for prod in (_poly_mul(ci, cj), _poly_mul(dci, cj)):
+                for n, v in enumerate(prod):
+                    nxt[n] += w * v
+        c.append(nxt)
+    return c
+
+
+# The largest defect on the clean tree, relative to the sum of the absolute
+# term values, is 7.7e-16, so the bound leaves a margin of about 1300. Every
+# Cauchy weight with i, j > 0 scaled by 1001/1000 gives 1.3e-3, and products
+# that drop 1/(1 + nu) give 2.2e3, while every residual verdict stays PASS.
+_QUOTIENT_FLOAT_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(1, 3), F(2, 7), F(3, 5), F(1)])
+def test_quotient_coefficients_match_a_float_recurrence(alpha):
+    K = 6
+    p = parse_problem(f"param nu\nalpha = {alpha}\norder = 1\nic0 = x/(1 + nu)\n"
+                      "rhs = psi^2 + Dx(psi)*psi\n")
+    sol = solve(p, K)
+    for nu in (0.5, 1.0, 2.0):
+        want = _quotient_floats(float(alpha), nu, K)
+        for k in range(K + 1):
+            for xv in (-1.0, 0.5, 1.5):
+                terms = [v * xv**n for n, v in enumerate(want[k])]
+                got = sol.coeff(k).eval(xv, {"nu": nu})
+                defect = abs(got - math.fsum(terms)) / math.fsum(map(abs, terms))
+                assert defect <= _QUOTIENT_FLOAT_RTOL, (nu, k, xv, got, defect)
+
+
 # -- criterion 4: error-table reproduction at alpha = 1, K = 5 -----------------------
 
 # grid: x outer, t inner

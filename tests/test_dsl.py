@@ -1,14 +1,18 @@
 """Problem-file grammar: round trips, precedence, diagnostics, fuzz."""
 
 import random
+import re
+import string
 import time
 from fractions import Fraction
 
 import pytest
 
 from fracseries.dsl import (
+    _MAX_DIGITS,
     _Env,
     _Parser,
+    _Tok,
     _lower_expr,
     _tokenize,
     parse_expr,
@@ -448,6 +452,85 @@ def test_only_ascii_digits_are_numbers(text, col, fragment):
     assert (e.line, e.col) == (4, col) and e.message == fragment, str(e)
 
 
+_REF_OP_CHARS = frozenset("+-*/^(),@")
+_REF_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
+def _ref_tokenize(text, line=1, col=1):
+    """A character-by-character scanner, the reference for the regex tokenizer."""
+    toks = []
+    i, n = 0, len(text)
+    ln, cl = line, col
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            ln += 1
+            cl = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            cl += 1
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        num = _REF_NUMBER.match(text, i)
+        if num:
+            lit = num.group()
+            if len(lit) > _MAX_DIGITS:
+                raise ParseError(f"number of {len(lit)} characters out of supported range", ln, cl)
+            toks.append(_Tok("num", lit, ln, cl, Fraction(lit)))
+            cl += len(lit)
+            i = num.end()
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_Tok("name", text[i:j], ln, cl))
+            cl += j - i
+            i = j
+            continue
+        if ch in _REF_OP_CHARS:
+            toks.append(_Tok("op", ch, ln, cl))
+            cl += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", ln, cl)
+    toks.append(_Tok("end", "", ln, cl))
+    return toks
+
+
+# character classes drawn with equal weight, then a character of the class: white space,
+# comments, decimals, ASCII words and operators, and characters whose str predicates differ
+# (superscript two, Arabic-Indic three, e acute, one half, omega, vertical tab, form feed)
+_TOKEN_CLASSES = ["\t", "\r", "\n", " ", "#", ".", "_", string.ascii_letters, string.digits,
+                  "+-*/^(),@=", "\u00b2\u0663\u00e9\u00bd\u03a9\x0b\x0c"]
+
+
+def _token_dump(tokenize, text, line, col):
+    try:
+        return [(t.kind, t.text, t.line, t.col, t.frac) for t in tokenize(text, line, col)]
+    except ParseError as e:
+        return str(e)
+
+
+def test_tokens_match_the_reference_scanner():
+    rng = random.Random(20261022)
+    for _ in range(20000):
+        text = "".join(rng.choice(rng.choice(_TOKEN_CLASSES)) for _ in range(rng.randrange(30)))
+        if rng.random() < 0.01:
+            text += "9" * rng.choice((_MAX_DIGITS, _MAX_DIGITS + 1))
+        line, col = rng.randrange(1, 9), rng.randrange(1, 40)
+        want = _token_dump(_ref_tokenize, text, line, col)
+        assert _token_dump(_tokenize, text, line, col) == want, (text, line, col)
+    # a trailing comment leaves the end token where the comment starts
+    assert _tokenize("x # c")[-1] == _Tok("end", "", 1, 3)
+    assert _tokenize("x # c\n", 4, 9)[-1] == _Tok("end", "", 5, 1)
+
+
 @pytest.mark.parametrize("power", ["((((cosh(2*x))^3)^13)^3)^13", "((cosh(x))^40)^40"])
 @pytest.mark.parametrize("line", [
     "ic0 = {}", "param k = {}", "forcing 1 = {}", "rhs = Dx(psi) + {}*psi",
@@ -588,6 +671,15 @@ def test_a_malformed_base_under_power_zero_is_an_error(text, col, fragment):
         parse_rhs(text)
     e = err.value
     assert (e.line, e.col) == (1, col) and e.message == fragment, str(e)
+
+
+@pytest.mark.parametrize("text", ["psi^13 + psi^14", "psi^13 - psi^14"])
+def test_a_sum_or_difference_reports_its_left_fault_first(text):
+    # both operands are lowered left to right, so the power 13 is met first
+    with pytest.raises(ParseError) as err:
+        parse_rhs(text)
+    e = err.value
+    assert (e.line, e.col, e.message) == (1, 4, "unknown-function power 13 out of range"), str(e)
 
 
 _HEAD = "alpha = 1/2\norder = 1\nic0 = x\n"

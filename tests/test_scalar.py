@@ -914,6 +914,34 @@ def test_overflow_names_the_gamma_atom_or_the_parameter():
         (Scalar.param("nu") ** 2).eval({"nu": 1e308})
 
 
+def test_a_gamma_power_past_the_float_range_names_the_atom_and_the_power():
+    # Gamma(1/10^300) is about 10^300, in range, but its square is not
+    for _ in range(2):  # _factors caches only what evaluates
+        with pytest.raises(EvalError, match=r"^overflow: gamma of an argument with a 997-bit "
+                                            r"integer to the power 2 is past the float range$"):
+            (Scalar.gamma(Fraction(1, 10**300)) ** 2).eval()
+    with pytest.raises(EvalError, match=r"^overflow: gamma of 1/1000000000000000000000000000000 "
+                                        r"to the power 11 is past the float range$"):
+        (Scalar.gamma(Fraction(1, 10**30)) ** 11).eval()
+    assert (Scalar.gamma(Fraction(1, 10**30)) ** 10).eval() == pytest.approx(1e300, rel=1e-12)
+
+
+def test_a_value_past_the_float_range_is_an_error():
+    nu, omega, lam = (Scalar.param(n) for n in ("nu", "omega", "lam"))
+    big = {"nu": 1e200, "omega": 1e200, "lam": 1e200}
+    with pytest.raises(EvalError, match=r"^overflow: nu\*omega evaluates to inf$"):
+        (nu * omega).eval(big)
+    with pytest.raises(EvalError, match=r"^overflow: nu\*omega evaluates to inf$"):
+        Expr.const(nu * omega).eval(1.0, big)
+    with pytest.raises(EvalError, match=r"^overflow: .* evaluates to -inf$"):
+        (-nu * omega).eval(big)
+    with pytest.raises(EvalError, match=r"^overflow: .* evaluates to nan$"):
+        (nu * omega - nu * lam).eval(big)  # inf - inf
+    with pytest.raises(EvalError, match=r"^overflow: .* evaluates to inf$"):
+        (nu / (omega - 1)).eval({"nu": 1e300, "omega": 1 + 2**-52})  # a quotient of finite parts
+    assert (nu * omega).eval({"nu": 2.0**500, "omega": 2.0**500}) == 2.0**1000
+
+
 def test_signature_product_cache_is_bounded(delay_problem, monkeypatch):
     assert 0 < _sig_mul.cache_info().maxsize < 10**6
     p = dataclasses.replace(delay_problem, alpha=Fraction(3, 5))
