@@ -12,14 +12,14 @@ exp(k*alpha*ln t - lgamma(1+k*alpha)) instead, so a value that fits in a
 double is returned even at high order; a NaN or infinite total is an
 EvalError. Error tables compare against a reference, the problem's closed
 form in x and t, when one is given; each point's sum is checked before its
-reference, so a table fails at its first failing point in grid order. Each
-row's fields are filled in one step (_row), not through the frozen
-dataclass __init__, which sets each field with object.__setattr__.
+reference, and the reference before its abs_error, so a table fails at its
+first failing point in grid order. Each row's fields are filled from one
+dict (_row), not through the frozen dataclass __init__, which sets each
+field with object.__setattr__.
 
-A csv table prints each distinct nonzero x and t once and reuses the text.
-A json table is laid out from the text of json's C encoder: the rows are
-encoded flat and indented as json.dumps(..., indent=2) would, which would
-otherwise fall back to the pure-Python encoder.
+A csv or json table prints each distinct nonzero x and t once and reuses
+the text. A json row is laid out with one % template from json's text for
+each float, as json.dumps(..., indent=2) would write it.
 """
 
 from __future__ import annotations
@@ -146,10 +146,11 @@ class TableRow:
 
 
 def _row(x, t, approx, reference=None, error=None) -> TableRow:
-    """TableRow(x, t, approx, reference, error), its fields filled in one step
+    """TableRow(x, t, approx, reference, error), its fields filled from one dict
     rather than one object.__setattr__ each, as the frozen __init__ does."""
     row = object.__new__(TableRow)
-    row.__dict__.update(x=x, t=t, approx=approx, reference=reference, error=error)
+    row.__dict__.update({"x": x, "t": t, "approx": approx, "reference": reference,
+                         "error": error})
     return row
 
 
@@ -183,7 +184,11 @@ def error_table(
         rows = []
         for xv, tv, approx in points:
             refv = ref(xv, tv, bind)
-            rows.append(_row(xv, tv, approx, refv, abs(approx - refv)))
+            err = abs(approx - refv)
+            if err == math.inf:  # two finite doubles overflow only to +inf
+                raise EvalError(f"abs_error of {approx} and reference {refv} "
+                                f"overflows at x={xv}, t={tv}")
+            rows.append(_row(xv, tv, approx, refv, err))
     return ErrorTable(
         problem=sol.problem.name,
         order=sol.order,
@@ -209,12 +214,24 @@ def _row_values(row: TableRow, has_reference: bool) -> tuple[float, ...]:
     return row.x, row.t, row.approx
 
 
+def _json_number(v) -> str:
+    """The text json writes for float(v)."""
+    v = float(v)
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
 class _Cells(dict):
-    """Grid values by value, each printed "%.17g" once. A zero is printed every
-    time and never kept: 0.0 == -0.0, but they print differently."""
+    """Grid values by value, each printed by `text` once. A zero is printed
+    every time and never kept: 0.0 == -0.0, but they print differently."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
 
     def __missing__(self, v) -> str:
-        s = "%.17g" % v
+        s = self.text(v)
         if v:
             self[v] = s
         return s
@@ -225,7 +242,7 @@ def _export_table(table: ErrorTable, fmt: str) -> str:
     if fmt == "csv":
         # one % per row; "%.17g" % v is format(float(v), ".17g"). A grid repeats
         # each x and t, so each is formatted once per table
-        cells = _Cells()
+        cells = _Cells("%.17g".__mod__)
         row = "%s,%s" + ",%.17g" * (len(cols) - 2)
         lines = [",".join(cols)]
         if table.has_reference:
@@ -242,17 +259,17 @@ def _export_table(table: ErrorTable, fmt: str) -> str:
             "reference": table.reference_desc,
             "columns": cols,
         }, indent=2)
-        # 17 significant digits round-trip every double, so a row holds the
-        # values themselves, as the csv rows print them. An indent turns off
-        # json's C encoder, so the rows are encoded flat and laid out here as
-        # indent=2 would: no float repr holds "[", "]" or ", ".
-        rows = json.dumps([list(map(float, _row_values(r, table.has_reference)))
-                           for r in table.rows])
-        if table.rows:
-            rows = ("[\n    [\n      "
-                    + rows[2:-2].replace("], [", "\n    ],\n    [\n      ")
-                    .replace(", ", ",\n      ")
-                    + "\n    ]\n  ]")
+        # laid out as indent=2 would, one % per row; float repr round-trips
+        # every double. A grid repeats each x and t, so each is written once
+        # per table
+        cells, num = _Cells(_json_number), _json_number
+        row = "    [\n      %s,\n      %s" + ",\n      %s" * (len(cols) - 2) + "\n    ]"
+        if table.has_reference:
+            rows = [row % (cells[r.x], cells[r.t], num(r.approx), num(r.reference),
+                           num(r.error)) for r in table.rows]
+        else:
+            rows = [row % (cells[r.x], cells[r.t], num(r.approx)) for r in table.rows]
+        rows = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
         return head[:-2] + ',\n  "rows": ' + rows + "\n}\n"
     if fmt == "pretty":
         head = (

@@ -319,6 +319,20 @@ def test_exact_reference_outside_double_range_is_1(capsys, tmp_path):
     assert "error: reference evaluation produced inf at x=1.0, t=0.0" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_abs_error_outside_double_range_is_1(capsys, tmp_path, fmt):
+    # each value fits in a double, their difference does not: json would
+    # print Infinity, which JSON does not allow
+    path = tmp_path / "errov.frac"
+    path.write_text("alpha = 1\norder = 1\nic0 = 17*(10^99)^3*10^10\nrhs = Dx(psi)\n"
+                    "exact = -17*(10^99)^3*10^10\n")
+    code, out, err = run(capsys, "table", str(path), "-K", "2", "--grid", "x=0:1:1 t=0:1:1",
+                         "--exact", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        "error: abs_error of 1.7e+308 and reference -1.7e+308 overflows at x=0.0, t=0.0")
+
+
 def test_table_fails_at_first_failing_point_in_grid_order(capsys, tmp_path):
     # the reference fails at (1, 0) and the series at (1, 2000): points are
     # checked x outer, t inner, each series value before its reference

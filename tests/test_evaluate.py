@@ -98,6 +98,18 @@ def test_non_finite_parameters_are_rejected():
         eval_solution(solve(huge, 2), 1.0, 0.5)
 
 
+def test_abs_error_past_the_float_range_is_an_error():
+    # approx and reference fit in a double, their difference does not; the
+    # first point in grid order where it overflows is named
+    prob = parse_problem("alpha = 1\norder = 1\nic0 = 17*(10^99)^3*10^10*x\nrhs = Dx(psi)\n"
+                         "exact = -17*(10^99)^3*10^10*x\n")
+    sol = solve(prob, 2)
+    assert error_table(sol, prob.exact, EvalGrid(xs=(0.0,), ts=(0.0, 1.0))).max_error() == 1.7e308
+    with pytest.raises(EvalError, match=r"^abs_error of 1\.7e\+308 and reference -1\.7e\+308 "
+                                        r"overflows at x=1\.0, t=0\.0$"):
+        error_table(sol, prob.exact, EvalGrid(xs=(0.0, 1.0), ts=(0.0, 1.0)))
+
+
 def test_negative_time_rejected(diffusion_problem):
     sol = solve(diffusion_problem, 4)
     with pytest.raises(EvalError):
@@ -191,6 +203,17 @@ def test_json_table_bytes_equal_indented_dumps():
         ErrorTable(name, 0, "1", tuple(with_ref[1:2]), has_reference=True,
                    reference_desc=ref),
         ErrorTable("empty, ], [", 2, "3/5", (), has_reference=False),
+    ]
+    # x and t repeat, 0.0 and -0.0 in one column: a text cache must not
+    # print one zero as the other
+    rng = random.Random(3401)
+    pool = (0.0, -0.0, 5e-324, 1e16, 1 / 3, -1e308)
+    drawn = [[rng.choice(pool) for _ in range(5)] for _ in range(300)]
+    tables += [
+        ErrorTable(name, 6, "2/7", tuple(TableRow(*v[:3]) for v in drawn),
+                   has_reference=False),
+        ErrorTable(name, 6, "2/7", tuple(TableRow(*v) for v in drawn), has_reference=True,
+                   reference_desc=ref),
     ]
     for tab in tables:
         assert export(tab, "json") == _indented_json(tab), tab
